@@ -32,8 +32,10 @@ from .words import (
     Word,
     concat,
     exponent_sum,
+    format_runs,
     generator_power,
     invert,
+    parse_runs,
 )
 
 
@@ -158,7 +160,7 @@ def artin_inverse(fp: FramedPureBraid) -> ArtinPresentation:
     """Presentation of the inverse framed braid (reversed, sign-flipped word
     and negated framings); composing with braid_to_artin(fp) on either side
     gives the identity presentation."""
-    reversed_braid = BraidWord(fp.n, tuple(-l for l in reversed(fp.braid.letters)))
+    reversed_braid = BraidWord(fp.n, invert(fp.braid.letters))
     return braid_to_artin(
         FramedPureBraid(reversed_braid, tuple(-f for f in fp.framings))
     )
@@ -167,7 +169,6 @@ def artin_inverse(fp: FramedPureBraid) -> ArtinPresentation:
 _BRAID_TEXT = re.compile(
     r"braid\s+(\d+)\s*:\s*(.*?)\s*;\s*framings\s*=\s*(.*)", re.DOTALL
 )
-_BRAID_TOKEN = re.compile(r"s(\d+)(?:\^(-?\d+))?")
 
 
 def parse_braid(text: str) -> FramedPureBraid:
@@ -181,18 +182,8 @@ def parse_braid(text: str) -> FramedPureBraid:
     if match is None:
         raise ParseError("expected 'braid <n> : <tokens> ; framings = <list>'")
     n = int(match.group(1))
-    letters: list[int] = []
-    for position, token in enumerate(match.group(2).split(), start=1):
-        token_match = _BRAID_TOKEN.fullmatch(token)
-        if token_match is None:
-            raise ParseError(f"bad braid token {token!r} at position {position}")
-        index = int(token_match.group(1))
-        if not 1 <= index <= n - 1:
-            raise ParseError(
-                f"crossing index must be in 1..{n - 1} in token {token!r}"
-            )
-        exponent = 1 if token_match.group(2) is None else int(token_match.group(2))
-        letters.extend([index if exponent > 0 else -index] * abs(exponent))
+    message = f"crossing index must be in 1..{n - 1} in token {{token!r}}"
+    letters = parse_runs(match.group(2).split(), "s", "braid", lambda k: 1 <= k < n, message)
     framings_text = match.group(3).strip()
     if framings_text:
         try:
@@ -203,21 +194,10 @@ def parse_braid(text: str) -> FramedPureBraid:
         framings = ()
     if len(framings) != n:
         raise ParseError(f"expected {n} framings, got {len(framings)}")
-    return FramedPureBraid(BraidWord(n, tuple(letters)), framings)
+    return FramedPureBraid(BraidWord(n, letters), framings)
 
 
 def format_braid(fp: FramedPureBraid) -> str:
     """Canonical text form; parse_braid round-trips it."""
-    parts: list[str] = []
-    letters = fp.braid.letters
-    i = 0
-    while i < len(letters):
-        j = i
-        while j < len(letters) and letters[j] == letters[i]:
-            j += 1
-        exponent = (j - i) if letters[i] > 0 else -(j - i)
-        name = f"s{abs(letters[i])}"
-        parts.append(name if exponent == 1 else f"{name}^{exponent}")
-        i = j
     framings = ",".join(str(f) for f in fp.framings)
-    return f"braid {fp.n} : {' '.join(parts)} ; framings = {framings}"
+    return f"braid {fp.n} : {format_runs(fp.braid.letters, 's')} ; framings = {framings}"

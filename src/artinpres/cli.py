@@ -140,9 +140,10 @@ def _cmd_coset(args: argparse.Namespace) -> int:
     )
     if isinstance(result, Finite):
         print(f"order={result.order} cosets={result.cosets_defined}")
-    else:
-        assert isinstance(result, Exceeded)
+    elif isinstance(result, Exceeded):
         print(f"exceeded={result.limit}")
+    else:
+        raise TypeError(f"unexpected coset enumeration result {result!r}")
     return 0
 
 

@@ -193,7 +193,8 @@ def _base_class(t: Tuple3) -> FourManifold:
         return FourManifold.CP2_CP2
     if t == (1, -1, 0):
         return FourManifold.CP2_MCP2
-    assert t[1] == 0 and t[2] == 1
+    if t[1] != 0 or t[2] != 1:
+        raise ValueError(f"{t} is not a base triple")
     return FourManifold.S2XS2 if t[0] % 2 == 0 else FourManifold.CP2_MCP2
 
 

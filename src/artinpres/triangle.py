@@ -74,7 +74,8 @@ def spherical_order(t: TriangleParams) -> int:
     if classify_geometry(t) is not GeometryClass.SPHERICAL:
         raise ValueError(f"({t.l},{t.m},{t.n}) is not spherical")
     order = 2 / (delta(t) - 1)
-    assert order.denominator == 1
+    if order.denominator != 1:
+        raise ArithmeticError(f"order {order} of ({t.l},{t.m},{t.n}) is not an integer")
     return int(order)
 
 
@@ -129,13 +130,13 @@ def triviality_status(t: Tuple3, max_cosets: int = 100_000) -> TrivialityResult:
     abelianization), the triangle-quotient certificate, and finally coset
     enumeration within the budget.  An exhausted budget is UNKNOWN.
     """
-    matrix = exponent_matrix(2, build_r2(t).relators)
+    matrix = exponent_matrix(2, relators := build_r2(t).relators)
     if not is_unimodular(matrix):
         return TrivialityResult(Triviality.NONTRIVIAL, "abelianization")
     if triangle_verdict(t) is not TriangleVerdict.INCONCLUSIVE:
         return TrivialityResult(Triviality.NONTRIVIAL, "triangle-quotient")
     result = enumerate_cosets(
-        FinitePresentation(2, build_r2(t).relators),
+        FinitePresentation(2, relators),
         max_cosets=max_cosets,
         strategy=Strategy.RELATOR_FIRST,
     )
@@ -143,5 +144,6 @@ def triviality_status(t: Tuple3, max_cosets: int = 100_000) -> TrivialityResult:
         if result.order == 1:
             return TrivialityResult(Triviality.TRIVIAL)
         return TrivialityResult(Triviality.NONTRIVIAL, "coset-order")
-    assert isinstance(result, Exceeded)
+    if not isinstance(result, Exceeded):
+        raise TypeError(f"unexpected coset enumeration result {result!r}")
     return TrivialityResult(Triviality.UNKNOWN)

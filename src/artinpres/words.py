@@ -11,7 +11,9 @@ are used in.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping
+from itertools import chain, compress, count, groupby, islice
+from operator import add, neg
+from typing import Callable, Iterable, Mapping, Sequence
 
 Word = tuple[int, ...]
 
@@ -20,16 +22,13 @@ class ParseError(ValueError):
     """Malformed textual input (word grammar, presentation or braid files)."""
 
 
-def free_reduce(letters: Iterable[int]) -> Word:
-    """Cancel adjacent inverse pairs until none remain.
-
-    Idempotent and length-nonincreasing.  Raises ValueError on the letter 0,
-    which encodes no generator.
-    """
+def _reduced(word: Iterable[int]) -> Word:
+    """The word as a tuple; the stack runs only if some adjacent pair cancels."""
+    word = tuple(word)
+    if 0 not in map(add, word, islice(word, 1, None)):
+        return word
     stack: list[int] = []
-    for letter in letters:
-        if letter == 0:
-            raise ValueError("0 is not a valid letter")
+    for letter in word:
         if stack and stack[-1] == -letter:
             stack.pop()
         else:
@@ -37,21 +36,40 @@ def free_reduce(letters: Iterable[int]) -> Word:
     return tuple(stack)
 
 
-def concat(*factors: Word) -> Word:
-    """Reduced product of reduced words.  Associative, with identity ()."""
-    stack: list[int] = []
+def _join(factors: Iterable[Word]) -> Word:
+    """Product of reduced words: the overlap at each junction is the first
+    index where the reversed product so far and the factor do not cancel."""
+    out: list[int] = []
     for word in factors:
-        for letter in word:
-            if stack and stack[-1] == -letter:
-                stack.pop()
-            else:
-                stack.append(letter)
-    return tuple(stack)
+        if out and word and out[-1] == -word[0]:
+            cancels = map(add, reversed(out), word)
+            overlap = next(compress(count(), cancels), min(len(out), len(word)))
+            del out[-overlap:]
+            word = word[overlap:]
+        out.extend(word)
+    return tuple(out)
+
+
+def free_reduce(letters: Iterable[int]) -> Word:
+    """Cancel adjacent inverse pairs until none remain.  Idempotent and
+    length-nonincreasing; a reduced word comes back as it is.  Raises
+    ValueError on the letter 0, which encodes no generator."""
+    word = tuple(letters)
+    if 0 in word:
+        raise ValueError("0 is not a valid letter")
+    return _reduced(word)
+
+
+def concat(*factors: Word) -> Word:
+    """Reduced product, associative with identity ().  Reduced factors
+    cancel only at their junctions; a factor that is not reduced is reduced
+    first, so the result is the free reduction of all the letters."""
+    return _join(map(_reduced, factors))
 
 
 def invert(word: Word) -> Word:
     """Inverse word: letters reversed, signs flipped."""
-    return tuple(-letter for letter in reversed(word))
+    return tuple(map(neg, reversed(word)))
 
 
 def generator_power(index: int, exponent: int) -> Word:
@@ -70,36 +88,63 @@ def substitute(word: Word, images: Mapping[int, Word]) -> Word:
     """Image of a word under the endomorphism x_j -> images[j].
 
     Inverse letters map to the inverted image.  Every generator index
-    appearing in the word must have an image.
+    appearing in the word must have an image; each is resolved once.
     """
-    pieces: list[Word] = []
-    for letter in word:
+    table = {}
+    for letter in dict.fromkeys(word):
         image = images.get(abs(letter))
         if image is None:
             raise ValueError(f"no image given for generator x{abs(letter)}")
-        pieces.append(image if letter > 0 else invert(image))
-    return concat(*pieces)
+        table[letter] = _reduced(image) if letter > 0 else invert(_reduced(image))
+    return _join(map(table.__getitem__, word))
 
 
 def exponent_sum(word: Word, index: int) -> int:
     """Signed count of occurrences of x_index; additive under concat."""
     if index < 1:
         raise ValueError(f"generator index must be >= 1, got {index}")
-    total = 0
-    for letter in word:
-        if letter == index:
-            total += 1
-        elif letter == -index:
-            total -= 1
-    return total
+    return word.count(index) - word.count(-index)
 
 
 def max_generator(word: Word) -> int:
     """Largest generator index used, 0 for the empty word."""
-    return max((abs(letter) for letter in word), default=0)
+    return max(max(word), -min(word)) if word else 0
 
 
-_TOKEN = re.compile(r"x(\d+)(?:\^(-?\d+))?")
+def format_runs(letters: Sequence[int], symbol: str) -> str:
+    """Space-separated ``<symbol><k>`` / ``<symbol><k>^<e>`` tokens, one per
+    run of equal letters; unambiguous on reduced words."""
+    names = {k: f"{symbol}{k}" if k > 0 else f"{symbol}{-k}^-1" for k in set(letters)}
+    tokens = [
+        names[k] if (e := len(list(run))) == 1 else f"{symbol}{abs(k)}^{e if k > 0 else -e}"
+        for k, run in groupby(letters)
+    ]
+    return " ".join(tokens)
+
+
+def parse_runs(
+    tokens: Sequence[str],
+    symbol: str,
+    kind: str,
+    index_ok: Callable[[int], bool],
+    index_error: str,
+    identity: str | None = None,
+) -> Word:
+    """Unreduced letters of format_runs tokens; ``identity`` stands for none.
+
+    Each distinct token is parsed once, so errors name the first bad token
+    and its position; ``index_error`` is formatted with both.
+    """
+    pattern = re.compile(rf"{symbol}(\d+)(?:\^(-?\d+))?")
+    memo: dict[str | None, Word] = {identity: ()}
+    for token in dict.fromkeys(tokens):
+        match = pattern.fullmatch(token)
+        if match and index_ok(index := int(match.group(1))):
+            memo[token] = generator_power(index, int(match.group(2) or 1))
+        elif token != identity:
+            message = index_error if match else f"bad {kind} token {{token!r}} at position {{position}}"
+            raise ParseError(message.format(token=token, position=tokens.index(token) + 1))
+    return tuple(chain.from_iterable(map(memo.__getitem__, tokens)))
 
 
 def parse_word(text: str) -> Word:
@@ -111,39 +156,10 @@ def parse_word(text: str) -> Word:
     tokens = text.split()
     if not tokens:
         raise ParseError("empty word text; write '1' for the identity")
-    letters: list[int] = []
-    for position, token in enumerate(tokens, start=1):
-        if token == "1":
-            continue
-        match = _TOKEN.fullmatch(token)
-        if match is None:
-            raise ParseError(f"bad word token {token!r} at position {position}")
-        index = int(match.group(1))
-        if index < 1:
-            raise ParseError(
-                f"generator index must be >= 1 in token {token!r} at position {position}"
-            )
-        exponent = 1 if match.group(2) is None else int(match.group(2))
-        letters.extend(generator_power(index, exponent))
-    return free_reduce(letters)
+    message = "generator index must be >= 1 in token {token!r} at position {position}"
+    return free_reduce(parse_runs(tokens, "x", "word", lambda k: k >= 1, message, "1"))
 
 
 def format_word(word: Word) -> str:
-    """Inverse of parse_word; the empty word prints as ``1``.
-
-    Runs of one letter collapse to a power token.  This is unambiguous on
-    reduced words, which never mix signs inside a run.
-    """
-    if not word:
-        return "1"
-    parts: list[str] = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        exponent = (j - i) if word[i] > 0 else -(j - i)
-        name = f"x{abs(word[i])}"
-        parts.append(name if exponent == 1 else f"{name}^{exponent}")
-        i = j
-    return " ".join(parts)
+    """Inverse of parse_word; the empty word prints as ``1``."""
+    return format_runs(word, "x") or "1"

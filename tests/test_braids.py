@@ -210,3 +210,23 @@ class TestBraidText:
         fp = parse_braid("braid 2 : s1^2 ; framings = 0,0")
         p = braid_to_artin(fp)
         assert exponent_sum(p.relators[0], 1) == 0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("braid 2 : s1 t1 ; framings = 0,0", "bad braid token 't1' at position 2"),
+            (
+                "braid 3 : s1 s2 s3^2 ; framings = 0,0,0",
+                "crossing index must be in 1..2 in token 's3^2'",
+            ),
+        ],
+    )
+    def test_parse_error_text(self, text, message):
+        with pytest.raises(ParseError) as caught:
+            parse_braid(text)
+        assert str(caught.value) == message
+
+    def test_round_trip_long_runs(self):
+        fp = FramedPureBraid(BraidWord(3, (1,) * 12 + (-2,) * 6 + (2, 1, 1, -2)), (0, 1, -1))
+        assert format_braid(fp) == "braid 3 : s1^12 s2^-6 s2 s1^2 s2^-1 ; framings = 0,1,-1"
+        assert parse_braid(format_braid(fp)) == fp

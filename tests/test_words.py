@@ -165,3 +165,172 @@ class TestHelpers:
     def test_max_generator(self):
         assert max_generator(()) == 0
         assert max_generator((1, -4, 2)) == 4
+
+
+# Naive references: the letter-by-letter stack and while-loop codecs the
+# word layer used before junction-only products and the run-length helpers.
+# The fast primitives must agree with them exactly.
+
+
+def naive_stack(letters):
+    stack = []
+    for letter in letters:
+        if stack and stack[-1] == -letter:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return tuple(stack)
+
+
+def naive_free_reduce(letters):
+    if 0 in letters:
+        raise ValueError("0 is not a valid letter")
+    return naive_stack(letters)
+
+
+def naive_concat(*factors):
+    return naive_stack([letter for word in factors for letter in word])
+
+
+def naive_invert(word):
+    return tuple(-letter for letter in reversed(word))
+
+
+def naive_substitute(word, images):
+    pieces = []
+    for letter in word:
+        image = images.get(abs(letter))
+        if image is None:
+            raise ValueError(f"no image given for generator x{abs(letter)}")
+        pieces.append(image if letter > 0 else naive_invert(image))
+    return naive_concat(*pieces)
+
+
+def naive_format(word):
+    if not word:
+        return "1"
+    parts = []
+    i = 0
+    while i < len(word):
+        j = i
+        while j < len(word) and word[j] == word[i]:
+            j += 1
+        exponent = (j - i) if word[i] > 0 else -(j - i)
+        name = f"x{abs(word[i])}"
+        parts.append(name if exponent == 1 else f"{name}^{exponent}")
+        i = j
+    return " ".join(parts)
+
+
+def naive_parse(text):
+    letters = []
+    for token in text.split():
+        if token == "1":
+            continue
+        index, _, exponent = token[1:].partition("^")
+        exponent = int(exponent) if exponent else 1
+        letters.extend([int(index) if exponent > 0 else -int(index)] * abs(exponent))
+    return naive_free_reduce(letters)
+
+
+nonzero = st.integers(min_value=-4, max_value=4).filter(lambda k: k != 0)
+raw_words = st.lists(nonzero, max_size=30).map(tuple)
+reduced_words = raw_words.map(naive_stack)
+# runs of one generator with long and negative exponents, e.g. x2^-17 x1^40
+runs = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(-60, 60).filter(lambda e: e != 0)),
+    max_size=8,
+)
+run_words = runs.map(
+    lambda rs: naive_stack([k if e > 0 else -k for k, e in rs for _ in range(abs(e))])
+)
+
+
+class TestAgainstNaiveReference:
+    @given(st.lists(reduced_words, max_size=6))
+    def test_concat_reduced_factors(self, factors):
+        assert concat(*factors) == naive_concat(*factors)
+
+    @given(st.lists(st.lists(st.integers(-4, 4), max_size=20).map(tuple), max_size=6))
+    def test_concat_unreduced_factors(self, factors):
+        # concat never rejected the letter 0: the stack cancels 0 against 0
+        assert concat(*factors) == naive_concat(*factors)
+
+    @given(st.lists(reduced_words, min_size=1, max_size=4), reduced_words)
+    def test_concat_whole_factors_cancel_across_junctions(self, left, tail):
+        # u1 .. uk uk^-1 .. u1^-1 tail: every factor before tail cancels whole
+        factors = left + [invert(u) for u in reversed(left)] + [tail]
+        assert len(factors) >= 3
+        assert concat(*factors) == tail == naive_concat(*factors)
+
+    @given(reduced_words, reduced_words, raw_words)
+    def test_concat_unreduced_middle_factor(self, u, w, middle):
+        factors = (u, middle, invert(middle), w)
+        assert concat(*factors) == naive_concat(*factors) == concat(u, w)
+
+    @given(reduced_words)
+    def test_free_reduce_returns_reduced_input_as_is(self, w):
+        assert free_reduce(w) is w
+        assert free_reduce(list(w)) == w
+
+    @given(raw_words)
+    def test_free_reduce_unreduced(self, raw):
+        assert free_reduce(raw) == naive_free_reduce(raw)
+        assert free_reduce(iter(raw)) == naive_free_reduce(raw)
+
+    @given(raw_words, raw_words)
+    def test_free_reduce_rejects_zero_anywhere(self, before, after):
+        with pytest.raises(ValueError, match="0 is not a valid letter"):
+            free_reduce(before + (0,) + after)
+
+    @given(raw_words)
+    def test_invert(self, w):
+        assert invert(w) == naive_invert(w)
+
+    @given(raw_words, st.integers(1, 5))
+    def test_exponent_sum(self, w, i):
+        assert exponent_sum(w, i) == sum(1 if k == i else -1 if k == -i else 0 for k in w)
+
+    @given(raw_words)
+    def test_max_generator(self, w):
+        assert max_generator(w) == max((abs(k) for k in w), default=0)
+
+    @given(reduced_words, st.dictionaries(st.integers(1, 4), raw_words))
+    def test_substitute(self, w, images):
+        try:
+            expected = naive_substitute(w, images)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                substitute(w, images)
+            assert str(caught.value) == str(exc)
+        else:
+            assert substitute(w, images) == expected
+
+    def test_substitute_names_first_missing_generator(self):
+        with pytest.raises(ValueError, match="no image given for generator x3"):
+            substitute((1, -3, 2), {1: (1,)})
+
+    @given(run_words)
+    def test_format_parse_round_trip_long_runs(self, w):
+        text = format_word(w)
+        assert text == naive_format(w)
+        assert parse_word(text) == w
+
+    @given(runs)
+    def test_parse_unreduced_runs(self, rs):
+        text = " ".join(f"x{k}^{e}" for k, e in rs) + " 1 x1^0"
+        assert parse_word(text) == naive_parse(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x1 y3", "bad word token 'y3' at position 2"),
+            ("x1 x2^ x1 x2^", "bad word token 'x2^' at position 2"),
+            ("x2 x1^2 x0^3", "generator index must be >= 1 in token 'x0^3' at position 3"),
+            ("x1 x0 y", "generator index must be >= 1 in token 'x0' at position 2"),
+        ],
+    )
+    def test_parse_error_text(self, text, message):
+        with pytest.raises(ParseError) as caught:
+            parse_word(text)
+        assert str(caught.value) == message
