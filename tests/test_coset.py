@@ -11,6 +11,19 @@ from artinpres.coset import (
 from artinpres.twogen import build_r2
 
 T235 = FinitePresentation(2, ((1, 1), (2, 2, 2), (1, 2) * 5))
+PSL27 = FinitePresentation(2, ((1, 1), (2, 2, 2), (1, 2) * 7, (-1, -2, 1, 2) * 4))
+Q8 = FinitePresentation(2, ((1, 1, 1, 1), (1, 1, -2, -2), (-2, 1, 2, 1)))
+# <x, y | xyx^-1 y^-2, yxy^-1 x^-2> collapses only through coincidences
+COINCIDENT = FinitePresentation(2, ((1, 2, -1, -2, -2), (2, 1, -2, -1, -1)))
+
+
+def coxeter_symmetric(n):
+    """Coxeter presentation of S_n on n-1 generators."""
+    m = n - 1
+    relators = [(i, i) for i in range(1, m + 1)]
+    relators += [(i, i + 1) * 3 for i in range(1, m)]
+    relators += [(i, j) * 2 for i in range(1, m + 1) for j in range(i + 2, m + 1)]
+    return FinitePresentation(m, tuple(relators))
 
 
 def presentation_of(t):
@@ -65,15 +78,12 @@ class TestKnownOrders:
         assert isinstance(result, Finite) and result.order == 2
 
     def test_quaternion_group(self):
-        q8 = FinitePresentation(2, ((1, 1, 1, 1), (1, 1, -2, -2), (-2, 1, 2, 1)))
-        result = enumerate_cosets(q8, validate=True)
+        result = enumerate_cosets(Q8, validate=True)
         assert isinstance(result, Finite) and result.order == 8
 
     def test_coincidence_heavy_trivial_presentation(self):
-        # <x, y | xyx^-1 y^-2, yxy^-1 x^-2> collapses only through coincidences
-        p = FinitePresentation(2, ((1, 2, -1, -2, -2), (2, 1, -2, -1, -1)))
         for strategy in Strategy:
-            result = enumerate_cosets(p, strategy=strategy, validate=True)
+            result = enumerate_cosets(COINCIDENT, strategy=strategy, validate=True)
             assert isinstance(result, Finite) and result.order == 1
 
 
@@ -99,6 +109,33 @@ class TestStrategies:
         first = enumerate_cosets(T235)
         second = enumerate_cosets(T235)
         assert first == second
+
+
+class TestPinnedDefinitions:
+    """Exact definition counts of both strategies: a rewrite of the
+    enumerator must define the same cosets in the same order, not just
+    reach the same order."""
+
+    @pytest.mark.parametrize(
+        "presentation, relator_first, definition_first",
+        [
+            (T235, Finite(60, 82), Finite(60, 60)),
+            (presentation_of((-1, -3, 2)), Finite(120, 386), Finite(120, 263)),
+            (PSL27, Finite(168, 542), Finite(168, 168)),
+            (coxeter_symmetric(5), Finite(120, 220), Finite(120, 120)),
+            (coxeter_symmetric(6), Finite(720, 1513), Finite(720, 720)),
+            (Q8, Finite(8, 8), Finite(8, 8)),
+            (COINCIDENT, Finite(1, 12), Finite(1, 10)),
+            # a length-1 relator: no table edge ever triggers its scan
+            (FinitePresentation(2, ((-1,) * 6, (2,))), Finite(6, 6), Finite(6, 6)),
+        ],
+    )
+    def test_cosets_defined(self, presentation, relator_first, definition_first):
+        assert enumerate_cosets(presentation, strategy=Strategy.RELATOR_FIRST) == relator_first
+        assert (
+            enumerate_cosets(presentation, strategy=Strategy.DEFINITION_FIRST)
+            == definition_first
+        )
 
 
 class TestBudget:
