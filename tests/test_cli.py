@@ -157,6 +157,15 @@ class TestClassify:
         assert code == 1
         assert "trivial-group" in err
 
+    def test_runtime_error_is_one_line_domain_error(self, capsys, monkeypatch):
+        def fail(args):
+            raise RuntimeError("move normalization did not terminate")
+
+        monkeypatch.setattr("artinpres.cli._cmd_classify", fail)
+        code, out, err = run(capsys, "classify", "0,1000,1")
+        assert (code, out) == (1, "")
+        assert err == "error: move normalization did not terminate\n"
+
 
 class TestEnumTrivial:
     def test_bound_one(self, capsys):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artinpres.coset import (
     CosetTable,
@@ -8,6 +10,8 @@ from artinpres.coset import (
     Strategy,
     enumerate_cosets,
 )
+from artinpres.fourmanifolds import enumerate_trivial
+from artinpres.triangle import TriangleParams, spherical_order, triangle_presentation
 from artinpres.twogen import build_r2
 
 T235 = FinitePresentation(2, ((1, 1), (2, 2, 2), (1, 2) * 5))
@@ -176,3 +180,242 @@ class TestTableInternals:
         table.merge(second, 0)
         assert table.is_live(0)
         assert table.rep(second) == 0
+
+
+class TestCounters:
+    def test_peak_live_and_coincidences(self):
+        result = enumerate_cosets(T235)
+        assert (result.peak_live, result.coincidences) == (69, 17)
+        result = enumerate_cosets(COINCIDENT, strategy=Strategy.DEFINITION_FIRST)
+        assert (result.peak_live, result.coincidences) == (10, 3)
+
+    def test_counters_left_out_of_equality(self):
+        assert Finite(60, 82, peak_live=69, coincidences=17) == Finite(60, 82)
+
+
+# Naive references: the enumerator as it was before the flat table, with
+# rows as lists of None-or-coset and a definition-first strategy that
+# rescans every coset against every relator until nothing changes, then
+# searches for the first hole from coset 0.  The rewritten enumerator must
+# make exactly the same definitions.
+
+
+class NaiveCosetTable:
+    def __init__(self, ngens):
+        self.ncols = 2 * ngens
+        self.rows = [[None] * self.ncols]
+        self.parent = [0]
+        self.live = 1
+        self.defined = 1
+
+    @staticmethod
+    def column(letter):
+        return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
+
+    def rep(self, coset):
+        while self.parent[coset] != coset:
+            coset = self.parent[coset]
+        return coset
+
+    def is_live(self, coset):
+        return self.parent[coset] == coset
+
+    def entry(self, coset, letter):
+        raw = self.rows[coset][self.column(letter)]
+        return None if raw is None else self.rep(raw)
+
+    def set_entry(self, coset, letter, target):
+        self.rows[coset][self.column(letter)] = target
+        self.rows[target][self.column(-letter)] = coset
+
+    def define(self, coset, letter):
+        new = len(self.rows)
+        self.rows.append([None] * self.ncols)
+        self.parent.append(new)
+        self.live += 1
+        self.defined += 1
+        self.set_entry(coset, letter, new)
+        return new
+
+    def merge(self, a, b):
+        queue = [(a, b)]
+        while queue:
+            a, b = queue.pop()
+            a, b = self.rep(a), self.rep(b)
+            if a == b:
+                continue
+            if b < a:
+                a, b = b, a
+            self.parent[b] = a
+            self.live -= 1
+            row_a, row_b = self.rows[a], self.rows[b]
+            for column in range(self.ncols):
+                target = row_b[column]
+                if target is None:
+                    continue
+                if row_a[column] is None:
+                    row_a[column] = target
+                else:
+                    queue.append((row_a[column], target))
+
+    def scan(self, start, word, fill):
+        changed = False
+        f = b = self.rep(start)
+        i, j = 0, len(word) - 1
+        while True:
+            while i <= j:
+                nxt = self.entry(f, word[i])
+                if nxt is None:
+                    break
+                f = nxt
+                i += 1
+            if i > j:
+                if f != b:
+                    self.merge(f, b)
+                    changed = True
+                return changed
+            while j >= i:
+                nxt = self.entry(b, -word[j])
+                if nxt is None:
+                    break
+                b = nxt
+                j -= 1
+            if j < i:
+                if f != b:
+                    self.merge(f, b)
+                    changed = True
+                return changed
+            if i == j:
+                self.set_entry(f, word[i], b)
+                return True
+            if not fill:
+                return changed
+            f = self.define(f, word[i])
+            changed = True
+            i += 1
+
+
+def _column_letter(column):
+    k = column // 2 + 1
+    return k if column % 2 == 0 else -k
+
+
+def naive_relator_first(presentation, max_cosets):
+    relators = [r for r in presentation.relators if r]
+    table = NaiveCosetTable(presentation.ngens)
+    alpha = 0
+    while alpha < len(table.rows):
+        if not table.is_live(alpha):
+            alpha += 1
+            continue
+        for relator in relators:
+            table.scan(alpha, relator, fill=True)
+            if table.defined > max_cosets:
+                return Exceeded(max_cosets)
+            if not table.is_live(alpha):
+                break
+        if table.is_live(alpha):
+            row = table.rows[alpha]
+            for column in range(table.ncols):
+                if row[column] is None:
+                    table.define(alpha, _column_letter(column))
+                    if table.defined > max_cosets:
+                        return Exceeded(max_cosets)
+        alpha += 1
+    return Finite(table.live, table.defined)
+
+
+def naive_definition_first(presentation, max_cosets):
+    relators = [r for r in presentation.relators if r]
+    table = NaiveCosetTable(presentation.ngens)
+    while True:
+        changed = True
+        while changed:
+            changed = False
+            for alpha in range(len(table.rows)):
+                for relator in relators:
+                    if not table.is_live(alpha):
+                        break
+                    if table.scan(alpha, relator, fill=False):
+                        changed = True
+        hole = next(
+            (
+                (coset, column)
+                for coset in range(len(table.rows))
+                if table.is_live(coset)
+                for column in range(table.ncols)
+                if table.rows[coset][column] is None
+            ),
+            None,
+        )
+        if hole is None:
+            return Finite(table.live, table.defined)
+        if table.defined + 1 > max_cosets:
+            return Exceeded(max_cosets)
+        table.define(hole[0], _column_letter(hole[1]))
+
+
+NAIVE = {
+    Strategy.RELATOR_FIRST: naive_relator_first,
+    Strategy.DEFINITION_FIRST: naive_definition_first,
+}
+
+
+@st.composite
+def small_presentations(draw):
+    ngens = draw(st.integers(1, 3))
+    letter = st.integers(-ngens, ngens).filter(bool)
+    relators = draw(st.lists(st.lists(letter, min_size=1, max_size=8), min_size=1, max_size=4))
+    return FinitePresentation(ngens, tuple(map(tuple, relators)))
+
+
+class TestAgainstNaiveReference:
+    @settings(max_examples=60, deadline=None)
+    @given(small_presentations(), st.sampled_from([50, 400]))
+    def test_relator_first(self, presentation, budget):
+        result = enumerate_cosets(presentation, budget, Strategy.RELATOR_FIRST, validate=True)
+        assert result == naive_relator_first(presentation, budget)
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_presentations(), st.sampled_from([50, 400]))
+    def test_definition_first(self, presentation, budget):
+        result = enumerate_cosets(presentation, budget, Strategy.DEFINITION_FIRST, validate=True)
+        assert result == naive_definition_first(presentation, budget)
+
+    # triples on which a Felsch loop that drops a deduction (a one-way push,
+    # no push after a coincidence) or skips a hole defines other cosets
+    @pytest.mark.parametrize(
+        "t", [(-6, -4, -3), (-5, 3, 2), (-6, -6, -1), (-6, 1, 2), (-4, -1, 1), (-5, 0, 2)]
+    )
+    def test_definition_first_on_r2_triples(self, t):
+        presentation = presentation_of(t)
+        result = enumerate_cosets(presentation, 50, Strategy.DEFINITION_FIRST, validate=True)
+        assert result == naive_definition_first(presentation, 50)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_pinned_presentations(self, strategy):
+        for presentation in (T235, PSL27, Q8, COINCIDENT, presentation_of((-1, -3, 2))):
+            result = enumerate_cosets(presentation, strategy=strategy, validate=True)
+            assert result == NAIVE[strategy](presentation, 100_000)
+
+
+SPHERICAL = [TriangleParams(2, 2, n) for n in range(2, 13)] + [
+    TriangleParams(2, 3, n) for n in (3, 4, 5)
+]
+
+
+class TestClosedForms:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(SPHERICAL), st.sampled_from(list(Strategy)))
+    def test_spherical_triangle_orders(self, t, strategy):
+        result = enumerate_cosets(triangle_presentation(t), strategy=strategy)
+        assert isinstance(result, Finite) and result.order == spherical_order(t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(enumerate_trivial(6)))
+    def test_strategies_agree_on_trivial_family(self, t):
+        presentation = presentation_of(t)
+        orders = {
+            enumerate_cosets(presentation, strategy=strategy).order for strategy in Strategy
+        }
+        assert orders == {1}
