@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .words import (
@@ -24,10 +25,10 @@ from .words import (
     conjugate,
     exponent_sum,
     format_word,
-    free_reduce,
     invert,
     max_generator,
     parse_word,
+    reduce_relators,
     substitute,
 )
 
@@ -94,22 +95,24 @@ class ExponentMatrix:
         return ExponentMatrix(tuple(tuple(-a for a in row) for row in self.entries))
 
 
+def _checked_defect(n: int, relators: Sequence[Word]) -> tuple[tuple[Word, ...], Word]:
+    """The relators reduced and range-checked once, and the defect on them."""
+    reduced = reduce_relators(n, relators)
+    if len(reduced) != n:
+        raise ValueError(f"expected {n} relators, got {len(reduced)}")
+    factors = chain.from_iterable(
+        (invert(relator), (i,), relator) for i, relator in enumerate(reduced, start=1)
+    )
+    return reduced, concat(invert(concat(*factors)), tuple(range(1, n + 1)))
+
+
 def artin_defect(n: int, relators: Sequence[Word]) -> Word:
     """Reduced word measuring failure of the defining identity.
 
     Returns reduce(inverse(product of r_i^-1 x_i r_i) * x_1...x_n), which is
     empty exactly when (n, relators) is an Artin presentation.
     """
-    if n < 0:
-        raise ValueError("generator count must be nonnegative")
-    reduced = tuple(free_reduce(r) for r in relators)
-    if len(reduced) != n:
-        raise ValueError(f"expected {n} relators, got {len(reduced)}")
-    for i, relator in enumerate(reduced, start=1):
-        if max_generator(relator) > n:
-            raise ValueError(f"relator r{i} uses a generator beyond x{n}")
-    product = concat(*(conjugate((i,), reduced[i - 1]) for i in range(1, n + 1)))
-    return concat(invert(product), tuple(range(1, n + 1)))
+    return _checked_defect(n, relators)[1]
 
 
 def is_artin(n: int, relators: Sequence[Word]) -> bool:
@@ -131,8 +134,8 @@ class ArtinPresentation:
     relators: tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "relators", tuple(free_reduce(r) for r in self.relators))
-        defect = artin_defect(self.n, self.relators)
+        relators, defect = _checked_defect(self.n, self.relators)
+        object.__setattr__(self, "relators", relators)
         if defect:
             raise ValueError(
                 f"relators do not satisfy the Artin identity (defect {format_word(defect)})"

@@ -4,8 +4,8 @@ Every subcommand reads and writes deterministic text, suitable for golden
 file testing: identical inputs and flags produce byte-identical output.
 Exit codes: 0 on success, 1 on domain errors (for example a non-pure braid,
 a triple outside the trivial-group families, or a computation that gave up,
-reported as RuntimeError), 2 on usage or parse errors.  Error text goes to
-stderr.  File arguments accept ``-`` for stdin.
+reported as RuntimeError, or ran out of memory), 2 on usage or parse errors.
+Error text goes to stderr.  File arguments accept ``-`` for stdin.
 """
 
 from __future__ import annotations
@@ -244,6 +244,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .words import Word, free_reduce, max_generator
+from .words import Word, reduce_relators
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,7 @@ class FinitePresentation:
     relators: tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        if self.ngens < 0:
-            raise ValueError("generator count must be nonnegative")
-        object.__setattr__(self, "relators", tuple(free_reduce(r) for r in self.relators))
-        for i, relator in enumerate(self.relators, start=1):
-            if max_generator(relator) > self.ngens:
-                raise ValueError(f"relator {i} uses a generator beyond x{self.ngens}")
+        object.__setattr__(self, "relators", reduce_relators(self.ngens, self.relators))
 
 
 class Strategy(Enum):

@@ -205,17 +205,18 @@ _REVERSED = {
     FourManifold.S2XS2: FourManifold.S2XS2,
 }
 
-_STEP_LIMIT = 1000
-
 
 def reduce_to_base(t: Tuple3) -> MovePath:
     """Greedy normalization to a base diagram.
 
-    Prefers a slide that strictly shrinks |a| + |b| + |c|; otherwise flips a
-    negative single clasp, mirrors a negative-trace triple, or swaps when
-    the swap immediately enables one of the above or lands on a base.  Each
-    tie-breaker is guarded so no move sequence can cycle; termination over
-    the whole classification grid is exercised by the test suite.
+    Swaps when that lands on a base; otherwise takes a slide that strictly
+    shrinks |a| + |b| + |c|, flips a negative single clasp, or mirrors a
+    negative-trace triple, in that order, and raises RuntimeError when none
+    applies.  The loop ends: every slide lowers |a| + |b| + |c|, at most
+    flipc, mirror, flipc come between two slides (mirror needs a + b < 0 and
+    leaves a + b > 0; flipc keeps a + b), and the only swap ends the loop.
+    No other swap helps: slide1(swap(u)) = swap(slide2(u)),
+    slide2(swap(u)) = swap(slide1(u)) and swap keeps |a| + |b| + |c|.
     """
     steps: list[MoveStep] = []
     current = t
@@ -228,34 +229,21 @@ def reduce_to_base(t: Tuple3) -> MovePath:
         steps.append(MoveStep(move, result))
         current = result
 
-    for _ in range(_STEP_LIMIT):
-        if _is_base(current):
-            return MovePath(t, tuple(steps))
+    while not _is_base(current):
         s = size(current)
-        first = slide1(current)
-        if size(first) < s:
-            push("slide1", first)
-            continue
-        second = slide2(current)
-        if size(second) < s:
-            push("slide2", second)
-            continue
-        if current[2] == -1:
-            push("flipc", flipc(current))
-            continue
-        if current[0] + current[1] < 0:
-            push("mirror", mirror(current))
-            continue
-        swapped = swap(current)
-        if (
-            _is_base(swapped)
-            or size(slide1(swapped)) < s
-            or size(slide2(swapped)) < s
-        ):
+        if _is_base(swapped := swap(current)):
             push("swap", swapped)
-            continue
-        raise RuntimeError(f"no shrinking move available at {current} (from {t})")
-    raise RuntimeError(f"move normalization did not terminate for {t}")
+        elif size(first := slide1(current)) < s:
+            push("slide1", first)
+        elif size(second := slide2(current)) < s:
+            push("slide2", second)
+        elif current[2] == -1:
+            push("flipc", flipc(current))
+        elif current[0] + current[1] < 0:
+            push("mirror", mirror(current))
+        else:
+            raise RuntimeError(f"no shrinking move available at {current} (from {t})")
+    return MovePath(t, tuple(steps))
 
 
 def _invariant_class(inv: FormInvariants) -> FourManifold:

@@ -18,7 +18,6 @@ from fractions import Fraction
 from .artin import exponent_matrix, is_unimodular
 from .coset import Exceeded, Finite, FinitePresentation, Strategy, enumerate_cosets
 from .twogen import Tuple3, _twist_power, build_r2
-from .words import free_reduce
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,7 @@ def triangle_quotient(t: Tuple3) -> FinitePresentation:
     coset enumeration on finite cases.
     """
     p = build_r2(t)
-    return FinitePresentation(2, p.relators + (free_reduce(_twist_power(t[2])),))
+    return FinitePresentation(2, p.relators + (_twist_power(t[2]),))
 
 
 def triangle_verdict(t: Tuple3) -> TriangleVerdict:

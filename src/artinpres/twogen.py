@@ -12,7 +12,7 @@ law: the family is a copy of Z^3.
 from __future__ import annotations
 
 from .artin import ArtinPresentation
-from .words import ParseError, Word, free_reduce, generator_power
+from .words import ParseError, Word, generator_power
 
 Tuple3 = tuple[int, int, int]
 
@@ -30,9 +30,8 @@ def build_r2(t: Tuple3) -> ArtinPresentation:
     """
     a, b, c = t
     twist = _twist_power(c)
-    r1 = free_reduce(generator_power(1, a - c) + twist)
-    r2 = free_reduce(generator_power(2, b - c) + twist)
-    return ArtinPresentation(2, (r1, r2))
+    relators = (generator_power(1, a - c) + twist, generator_power(2, b - c) + twist)
+    return ArtinPresentation(2, relators)
 
 
 def recognize_r2(p: ArtinPresentation) -> Tuple3:

@@ -111,6 +111,18 @@ def max_generator(word: Word) -> int:
     return max(max(word), -min(word)) if word else 0
 
 
+def reduce_relators(n: int, relators: Iterable[Iterable[int]]) -> tuple[Word, ...]:
+    """The relators freely reduced and checked to use only x_1 .. x_n; raises
+    ValueError on a negative n, the letter 0 or a generator beyond x_n."""
+    if n < 0:
+        raise ValueError("generator count must be nonnegative")
+    reduced = tuple(map(free_reduce, relators))
+    for i, relator in enumerate(reduced, start=1):
+        if max_generator(relator) > n:
+            raise ValueError(f"relator r{i} uses a generator beyond x{n}")
+    return reduced
+
+
 def format_runs(letters: Sequence[int], symbol: str) -> str:
     """Space-separated ``<symbol><k>`` / ``<symbol><k>^<e>`` tokens, one per
     run of equal letters; unambiguous on reduced words."""

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artinpres.artin import (
     ArtinPresentation,
@@ -15,8 +17,9 @@ from artinpres.artin import (
     is_unimodular,
     parse_presentation,
 )
+from artinpres.coset import FinitePresentation
 from artinpres.twogen import build_r2
-from artinpres.words import ParseError
+from artinpres.words import ParseError, concat, conjugate, free_reduce, invert, max_generator
 
 from conftest import random_framed_pure_braid
 
@@ -42,6 +45,72 @@ class TestArtinDefect:
     def test_relator_count_mismatch(self):
         with pytest.raises(ValueError):
             artin_defect(2, ((1,),))
+
+    def test_out_of_range_message_shared_with_finite_presentations(self):
+        message = "^relator r2 uses a generator beyond x2$"
+        for construct in (artin_defect, ArtinPresentation, FinitePresentation):
+            with pytest.raises(ValueError, match=message):
+                construct(2, ((1,), (2, -3, 1)))
+
+
+# Naive reference: the defect as it was computed before the relator check
+# moved to words.reduce_relators, with one conjugate per generator.
+
+
+def reference_artin_defect(n, relators):
+    if n < 0:
+        raise ValueError("generator count must be nonnegative")
+    reduced = tuple(free_reduce(r) for r in relators)
+    if len(reduced) != n:
+        raise ValueError(f"expected {n} relators, got {len(reduced)}")
+    for i, relator in enumerate(reduced, start=1):
+        if max_generator(relator) > n:
+            raise ValueError(f"relator r{i} uses a generator beyond x{n}")
+    product = concat(*(conjugate((i,), reduced[i - 1]) for i in range(1, n + 1)))
+    return concat(invert(product), tuple(range(1, n + 1)))
+
+
+def defect_outcome(defect, n, relators):
+    """The defect word, or the type of the exception it raised."""
+    try:
+        return defect(n, relators)
+    except Exception as exc:
+        return type(exc)
+
+
+@st.composite
+def candidates(draw):
+    """Unreduced relator lists of rank 0-4; about half carry one fault: a
+    relator too many, the letter 0, or a generator beyond x_n."""
+    n = draw(st.integers(0, 4))
+    letters = st.integers(-n, n).filter(bool) if n else st.nothing()
+    relators = draw(st.lists(st.lists(letters, max_size=12), min_size=n, max_size=n))
+    fault = draw(st.sampled_from([None, None, None, "extra", 0, -(n + 1)]))
+    if fault == "extra" or (fault is not None and not n):
+        relators.append([] if fault == "extra" else [fault])
+    elif fault is not None:
+        relator = relators[draw(st.integers(0, n - 1))]
+        relator.insert(draw(st.integers(0, len(relator))), fault)
+    return n, tuple(map(tuple, relators))
+
+
+class TestAgainstConjugateReference:
+    @settings(max_examples=300, deadline=None)
+    @given(candidates())
+    def test_random_candidates(self, candidate):
+        n, relators = candidate
+        expected = defect_outcome(reference_artin_defect, n, relators)
+        assert defect_outcome(artin_defect, n, relators) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(2, 5))
+    def test_braid_outputs_and_a_perturbation(self, seed, n):
+        from artinpres.braids import braid_to_artin
+
+        p = braid_to_artin(random_framed_pure_braid(random.Random(seed), n))
+        perturbed = (p.relators[0] + (2,),) + p.relators[1:]
+        for relators in (p.relators, perturbed):
+            assert artin_defect(n, relators) == reference_artin_defect(n, relators)
 
 
 class TestIsArtin:

@@ -142,6 +142,26 @@ class TestClassify:
             "path=(5,2,3)->slide1->(1,2,-1)->flipc->(1,2,1)->slide2->(1,1,0)\n"
         )
 
+    @pytest.mark.parametrize(
+        "triple, line",
+        [
+            (
+                "0,1000,1",
+                "family=T4 det=-1 signature=0 parity=even X4=S2xS2 "
+                "path=(0,1000,1)->swap->(1000,0,1)\n",
+            ),
+            (
+                "3001,2999,3000",
+                "family=T5 det=-1 signature=0 parity=odd X4=CP2#mCP2 "
+                "path=(3001,2999,3000)->slide1->(0,2999,-1)->flipc->(0,2999,1)"
+                "->swap->(2999,0,1)\n",
+            ),
+        ],
+    )
+    def test_long_families_take_a_few_moves(self, capsys, triple, line):
+        code, out, err = run(capsys, "classify", triple)
+        assert (code, out, err) == (0, line, "")
+
     def test_base_case_path(self, capsys):
         code, out, _ = run(capsys, "classify", "1,1,0")
         assert code == 0
@@ -165,6 +185,14 @@ class TestClassify:
         code, out, err = run(capsys, "classify", "0,1000,1")
         assert (code, out) == (1, "")
         assert err == "error: move normalization did not terminate\n"
+
+    def test_memory_error_is_one_line_domain_error(self, capsys, monkeypatch):
+        def fail(args):
+            raise MemoryError()
+
+        monkeypatch.setattr("artinpres.cli._cmd_classify", fail)
+        code, out, err = run(capsys, "classify", "0,1000,1")
+        assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
 class TestEnumTrivial:

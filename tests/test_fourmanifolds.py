@@ -1,12 +1,20 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artinpres.coset import Finite, FinitePresentation, enumerate_cosets
 from artinpres.fourmanifolds import (
+    _REVERSED,
     Family,
     FourManifold,
+    MovePath,
+    MoveStep,
     Parity,
+    _base_class,
+    _invariant_class,
+    _is_base,
     classify_x4,
     classify_x4_with_path,
     enumerate_trivial,
@@ -230,3 +238,108 @@ class TestExportKirby:
 
     def test_torus_link(self):
         assert export_kirby((-1, -3, 2)) == "strands=2; braid=s1^4; framings=-1,-3"
+
+
+# Naive reference: the greedy normalizer before swaps were tried first.  It
+# takes slides, flipc and mirror before a swap, guards the swap with the
+# slides of the swapped triple, and stops after a fixed number of steps.
+
+
+def reference_reduce_to_base(t):
+    steps = []
+    current = t
+
+    def size(u):
+        return abs(u[0]) + abs(u[1]) + abs(u[2])
+
+    def push(move, result):
+        nonlocal current
+        steps.append(MoveStep(move, result))
+        current = result
+
+    for _ in range(1000):
+        if _is_base(current):
+            return MovePath(t, tuple(steps))
+        s = size(current)
+        first = slide1(current)
+        if size(first) < s:
+            push("slide1", first)
+            continue
+        second = slide2(current)
+        if size(second) < s:
+            push("slide2", second)
+            continue
+        if current[2] == -1:
+            push("flipc", flipc(current))
+            continue
+        if current[0] + current[1] < 0:
+            push("mirror", mirror(current))
+            continue
+        swapped = swap(current)
+        if (
+            _is_base(swapped)
+            or size(slide1(swapped)) < s
+            or size(slide2(swapped)) < s
+        ):
+            push("swap", swapped)
+            continue
+        raise RuntimeError(f"no shrinking move available at {current} (from {t})")
+    raise RuntimeError(f"move normalization did not terminate for {t}")
+
+
+MOVES = {"slide1": slide1, "slide2": slide2, "swap": swap, "flipc": flipc, "mirror": mirror}
+
+
+def path_class(path):
+    """4-manifold read off a move path; every step is replayed first."""
+    current = path.start
+    for step in path.steps:
+        current = MOVES[step.move](current)
+        assert step.result == current
+    manifold = _base_class(path.final)
+    return _REVERSED[manifold] if path.orientation_reversed else manifold
+
+
+def normalize_or_none(normalize, t):
+    try:
+        return normalize(t)
+    except RuntimeError as exc:
+        assert str(exc).startswith("no shrinking move available"), exc
+        return None
+
+
+def large_members(entries):
+    """T4 and T5 members built from one integer v: (v, 0, +-1), (0, v, +-1),
+    (v + 1, v - 1, v) and (v - 1, v + 1, v)."""
+    shapes = [
+        lambda v: (v, 0, 1),
+        lambda v: (v, 0, -1),
+        lambda v: (0, v, 1),
+        lambda v: (0, v, -1),
+        lambda v: (v + 1, v - 1, v),
+        lambda v: (v - 1, v + 1, v),
+    ]
+    return st.builds(lambda shape, v: shape(v), st.sampled_from(shapes), entries)
+
+
+class TestAgainstGreedyReference:
+    def test_grid_up_to_twelve(self):
+        for t in product(range(-12, 13), repeat=3):
+            new = normalize_or_none(reduce_to_base, t)
+            old = normalize_or_none(reference_reduce_to_base, t)
+            assert (new is None) == (old is None), t
+            if new is not None:
+                assert path_class(new) is path_class(old), t
+                assert len(new.steps) <= len(old.steps), t
+
+    @settings(max_examples=300, deadline=None)
+    @given(large_members(st.integers(-(10**12), 10**12)))
+    def test_large_members_reach_a_base_in_five_moves(self, t):
+        manifold, path = classify_x4_with_path(t)
+        assert len(path.steps) <= 5
+        assert path_class(path) is manifold is _invariant_class(form_invariants(t))
+
+    @given(st.tuples(*[st.integers(-(10**12), 10**12)] * 3))
+    def test_slides_trade_places_under_swap(self, t):
+        assert slide1(swap(t)) == swap(slide2(t))
+        assert slide2(swap(t)) == swap(slide1(t))
