@@ -21,8 +21,7 @@ from typing import Sequence
 from .words import (
     ParseError,
     Word,
-    concat,
-    conjugate,
+    _join,
     exponent_sum,
     format_word,
     invert,
@@ -96,14 +95,16 @@ class ExponentMatrix:
 
 
 def _checked_defect(n: int, relators: Sequence[Word]) -> tuple[tuple[Word, ...], Word]:
-    """The relators reduced and range-checked once, and the defect on them."""
+    """The relators reduced and range-checked once, and the defect on them;
+    every factor of the identity's product is reduced, so they are joined
+    without another check."""
     reduced = reduce_relators(n, relators)
     if len(reduced) != n:
         raise ValueError(f"expected {n} relators, got {len(reduced)}")
     factors = chain.from_iterable(
         (invert(relator), (i,), relator) for i, relator in enumerate(reduced, start=1)
     )
-    return reduced, concat(invert(concat(*factors)), tuple(range(1, n + 1)))
+    return reduced, _join((invert(_join(factors)), tuple(range(1, n + 1))))
 
 
 def artin_defect(n: int, relators: Sequence[Word]) -> Word:
@@ -162,13 +163,15 @@ def compose(u: ArtinPresentation, r: ArtinPresentation) -> ArtinPresentation:
     """Group operation: relator i of the result is u_i * R_i, where R_i is
     r_i with every x_j replaced by u_j^-1 x_j u_j.
 
-    The exponent matrix of the result is the sum of the two inputs'.
+    The exponent matrix of the result is the sum of the two inputs'.  Stored
+    relators and substitute's output are reduced, so the products are joined
+    without another check.
     """
     if u.n != r.n:
         raise ValueError(f"generator counts differ: {u.n} vs {r.n}")
-    images = {j: conjugate((j,), u.relators[j - 1]) for j in range(1, u.n + 1)}
+    images = {j: _join((invert(u_j), (j,), u_j)) for j, u_j in enumerate(u.relators, start=1)}
     relators = tuple(
-        concat(u.relators[i], substitute(r.relators[i], images)) for i in range(u.n)
+        _join((u_i, substitute(r_i, images))) for u_i, r_i in zip(u.relators, r.relators)
     )
     return ArtinPresentation(u.n, relators)
 

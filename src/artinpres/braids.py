@@ -30,6 +30,7 @@ from .artin import ArtinPresentation
 from .words import (
     ParseError,
     Word,
+    _join,
     concat,
     exponent_sum,
     format_runs,
@@ -70,7 +71,8 @@ def generator_images(braid: BraidWord) -> tuple[Word, ...]:
     """Images of x_1..x_n under the induced automorphism of F_n.
 
     Computed letter by letter; the product x_1 x_2 ... x_n is preserved by
-    every crossing, hence by every braid word.
+    every crossing, hence by every braid word.  Every image stays reduced,
+    so the products are joined without another check.
     """
     images: list[Word] = [(i,) for i in range(1, braid.n + 1)]
     for letter in braid.letters:
@@ -78,9 +80,9 @@ def generator_images(braid: BraidWord) -> tuple[Word, ...]:
         a, b = images[j - 1], images[j]
         if letter > 0:
             images[j - 1] = b
-            images[j] = concat(invert(b), a, b)
+            images[j] = _join((invert(b), a, b))
         else:
-            images[j - 1] = concat(a, b, invert(a))
+            images[j - 1] = _join((a, b, invert(a)))
             images[j] = a
     return tuple(images)
 

@@ -73,9 +73,14 @@ class Finite:
 
 @dataclass(frozen=True)
 class Exceeded:
-    """The allocation budget ran out before the table closed."""
+    """The allocation budget ran out before the table closed.  The counters
+    are those of Finite at the moment the budget ran out, and likewise do
+    not take part in equality."""
 
     limit: int
+    cosets_defined: int = field(default=0, compare=False)
+    peak_live: int = field(default=0, compare=False)
+    coincidences: int = field(default=0, compare=False)
 
 
 EnumResult = Finite | Exceeded
@@ -284,17 +289,16 @@ def enumerate_cosets(
     relators = tuple(r for r in presentation.relators if r)
     table = CosetTable(presentation.ngens)
     if strategy is Strategy.RELATOR_FIRST:
-        result = _relator_first(table, relators, max_cosets, validate)
+        exceeded = _relator_first(table, relators, max_cosets, validate)
     else:
-        result = _definition_first(table, relators, max_cosets, validate)
-    if result is not None:
-        return result
-    return Finite(table.live, table.defined, table.peak_live, table.coincidences)
+        exceeded = _definition_first(table, relators, max_cosets, validate)
+    counters = (table.defined, table.peak_live, table.coincidences)
+    return Exceeded(max_cosets, *counters) if exceeded else Finite(table.live, *counters)
 
 
 def _relator_first(
     table: CosetTable, relators: tuple[Word, ...], max_cosets: int, validate: bool
-) -> Exceeded | None:
+) -> bool:
     compiled = [_compile(r) for r in relators]
     tab, n, parent = table.table, table.ncols, table.parent
     alpha = 0
@@ -305,7 +309,7 @@ def _relator_first(
         for forward, backward in compiled:
             table._scan(alpha, forward, backward, True)
             if table.defined > max_cosets:
-                return Exceeded(max_cosets)
+                return True
             if validate:
                 table.check_consistency()
             if parent[alpha] != alpha:
@@ -316,14 +320,14 @@ def _relator_first(
                 if tab[row + column] < 0:
                     table._define(alpha, column)
                     if table.defined > max_cosets:
-                        return Exceeded(max_cosets)
+                        return True
         alpha += 1
-    return None
+    return False
 
 
 def _definition_first(
     table: CosetTable, relators: tuple[Word, ...], max_cosets: int, validate: bool
-) -> Exceeded | None:
+) -> bool:
     n = table.ncols
     # every distinct cyclic conjugate of each relator, filed under the column
     # of its first letter; entries are pushed both ways, so a cycle through
@@ -361,11 +365,11 @@ def _definition_first(
             try:
                 hole = tab.index(-1, hole)
             except ValueError:
-                return None
+                return False
             coset = hole // n
             if parent[coset] == coset:
                 break
             hole = (coset + 1) * n
         if table.defined + 1 > max_cosets:
-            return Exceeded(max_cosets)
+            return True
         new = table._define(coset, hole % n)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain, compress, count, groupby, islice
-from operator import add, neg
+from operator import add, eq, neg
 from typing import Callable, Iterable, Mapping, Sequence
 
 Word = tuple[int, ...]
@@ -125,12 +125,24 @@ def reduce_relators(n: int, relators: Iterable[Iterable[int]]) -> tuple[Word, ..
 
 def format_runs(letters: Sequence[int], symbol: str) -> str:
     """Space-separated ``<symbol><k>`` / ``<symbol><k>^<e>`` tokens, one per
-    run of equal letters; unambiguous on reduced words."""
+    run of equal letters; unambiguous on reduced words.
+
+    Cost: the per-letter work runs in C, plus one Python step per run longer
+    than one letter.  Adjacent-equal flags are grouped, so each stretch of
+    single letters goes out in one ``extend`` and each long run as one token.
+    """
     names = {k: f"{symbol}{k}" if k > 0 else f"{symbol}{-k}^-1" for k in set(letters)}
-    tokens = [
-        names[k] if (e := len(list(run))) == 1 else f"{symbol}{abs(k)}^{e if k > 0 else -e}"
-        for k, run in groupby(letters)
-    ]
+    tokens: list[str] = []
+    done = 0  # letters before this index are in tokens
+    flag = 0  # flag i says whether letters i and i + 1 are equal
+    for equal, flags in groupby(map(eq, islice(letters, 1, None), letters)):
+        start, flag = flag, flag + len(list(flags))
+        if equal:
+            tokens.extend(map(names.__getitem__, letters[done:start]))
+            k, e = letters[start], flag - start + 1
+            tokens.append(f"{symbol}{abs(k)}^{e if k > 0 else -e}")
+            done = flag + 1
+    tokens.extend(map(names.__getitem__, letters[done:]))
     return " ".join(tokens)
 
 

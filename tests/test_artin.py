@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,16 @@ from artinpres.artin import (
 )
 from artinpres.coset import FinitePresentation
 from artinpres.twogen import build_r2
-from artinpres.words import ParseError, concat, conjugate, free_reduce, invert, max_generator
+from artinpres.words import (
+    ParseError,
+    concat,
+    conjugate,
+    free_reduce,
+    invert,
+    max_generator,
+    reduce_relators,
+    substitute,
+)
 
 from conftest import random_framed_pure_braid
 
@@ -111,6 +121,65 @@ class TestAgainstConjugateReference:
         perturbed = (p.relators[0] + (2,),) + p.relators[1:]
         for relators in (p.relators, perturbed):
             assert artin_defect(n, relators) == reference_artin_defect(n, relators)
+
+
+# Reference: compose and the defect as they were before products of words
+# known to be reduced were joined without another check; every product went
+# through concat, which checks each factor again.
+
+
+def concat_compose(u, r):
+    images = {j: conjugate((j,), u.relators[j - 1]) for j in range(1, u.n + 1)}
+    return tuple(concat(u.relators[i], substitute(r.relators[i], images)) for i in range(u.n))
+
+
+def concat_defect(n, relators):
+    reduced = reduce_relators(n, relators)
+    if len(reduced) != n:
+        raise ValueError(f"expected {n} relators, got {len(reduced)}")
+    factors = chain.from_iterable(
+        (invert(relator), (i,), relator) for i, relator in enumerate(reduced, start=1)
+    )
+    return concat(invert(concat(*factors)), tuple(range(1, n + 1)))
+
+
+@st.composite
+def presentation_pairs(draw):
+    """Two braid_to_artin outputs of rank 2-4, or two build_r2 outputs."""
+    from artinpres.braids import braid_to_artin
+
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        n = draw(st.integers(2, 4))
+        return tuple(braid_to_artin(random_framed_pure_braid(rng, n)) for _ in range(2))
+    triples = st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-4, 4))
+    return build_r2(draw(triples)), build_r2(draw(triples))
+
+
+class TestAgainstConcatReference:
+    @settings(max_examples=150, deadline=None)
+    @given(presentation_pairs())
+    def test_compose_and_defect(self, pair):
+        u, r = pair
+        relators = concat_compose(u, r)
+        assert compose(u, r).relators == relators
+        raw = tuple(u_i + r_i for u_i, r_i in zip(u.relators, r.relators))
+        perturbed = (relators[0] + (2,),) + relators[1:]
+        for candidate in (relators, raw, perturbed, u.relators + r.relators):
+            expected = defect_outcome(concat_defect, u.n, candidate)
+            assert defect_outcome(artin_defect, u.n, candidate) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(2, 4))
+    def test_composition_with_inverse(self, seed, n):
+        from artinpres.braids import artin_inverse, braid_to_artin
+
+        fp = random_framed_pure_braid(random.Random(seed), n)
+        p, q = braid_to_artin(fp), artin_inverse(fp)
+        # every junction u_i * image cancels completely
+        for u, r in ((p, q), (q, p)):
+            assert compose(u, r) == identity_presentation(n)
+            assert concat_compose(u, r) == ((),) * n
 
 
 class TestIsArtin:

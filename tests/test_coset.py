@@ -15,6 +15,8 @@ from artinpres.triangle import TriangleParams, spherical_order, triangle_present
 from artinpres.twogen import build_r2
 
 T235 = FinitePresentation(2, ((1, 1), (2, 2, 2), (1, 2) * 5))
+# the Euclidean triangle group T(3,3,3) is infinite
+T333 = FinitePresentation(2, ((1,) * 3, (2,) * 3, (1, 2) * 3))
 PSL27 = FinitePresentation(2, ((1, 1), (2, 2, 2), (1, 2) * 7, (-1, -2, 1, 2) * 4))
 Q8 = FinitePresentation(2, ((1, 1, 1, 1), (1, 1, -2, -2), (-2, 1, 2, 1)))
 # <x, y | xyx^-1 y^-2, yxy^-1 x^-2> collapses only through coincidences
@@ -73,8 +75,7 @@ class TestKnownOrders:
         assert result == Exceeded(500)
 
     def test_euclidean_triangle_group_exceeds(self):
-        t333 = FinitePresentation(2, ((1,) * 3, (2,) * 3, (1, 2) * 3))
-        assert enumerate_cosets(t333, max_cosets=2000) == Exceeded(2000)
+        assert enumerate_cosets(T333, max_cosets=2000) == Exceeded(2000)
 
     def test_relators_interact(self):
         # <x | x^6, x^4> has order gcd(6, 4)
@@ -191,6 +192,22 @@ class TestCounters:
 
     def test_counters_left_out_of_equality(self):
         assert Finite(60, 82, peak_live=69, coincidences=17) == Finite(60, 82)
+        assert Exceeded(400, 402, peak_live=402, coincidences=5) == Exceeded(400)
+
+    @pytest.mark.parametrize(
+        "strategy, counters",
+        [(Strategy.RELATOR_FIRST, (402, 402, 0)), (Strategy.DEFINITION_FIRST, (400, 400, 0))],
+    )
+    def test_budget_hit_on_euclidean_triangle_group(self, strategy, counters):
+        result = enumerate_cosets(T333, max_cosets=400, strategy=strategy)
+        assert result == Exceeded(400)
+        assert (result.cosets_defined, result.peak_live, result.coincidences) == counters
+
+    def test_budget_hit_after_coincidences(self):
+        # relator-first defines its 82nd coset inside a scan, past the budget
+        result = enumerate_cosets(T235, max_cosets=81)
+        assert result == Exceeded(81)
+        assert (result.cosets_defined, result.peak_live, result.coincidences) == (82, 69, 11)
 
 
 # Naive references: the enumerator as it was before the flat table, with

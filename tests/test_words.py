@@ -1,3 +1,5 @@
+from itertools import groupby
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from artinpres.words import (
     concat,
     conjugate,
     exponent_sum,
+    format_runs,
     format_word,
     free_reduce,
     generator_power,
@@ -334,3 +337,49 @@ class TestAgainstNaiveReference:
         with pytest.raises(ParseError) as caught:
             parse_word(text)
         assert str(caught.value) == message
+
+
+# Reference: format_runs as it was before it grouped the adjacent-equal
+# flags, one groupby step per run.  The new formatter must match it byte for
+# byte, on unreduced braid letters as well as on reduced words.
+
+
+def groupby_format_runs(letters, symbol):
+    names = {k: f"{symbol}{k}" if k > 0 else f"{symbol}{-k}^-1" for k in set(letters)}
+    tokens = [
+        names[k] if (e := len(list(run))) == 1 else f"{symbol}{abs(k)}^{e if k > 0 else -e}"
+        for k, run in groupby(letters)
+    ]
+    return " ".join(tokens)
+
+
+# single letters mixed with runs of length 2-50
+mixed_letters = st.lists(
+    st.tuples(nonzero, st.one_of(st.just(1), st.integers(2, 50))), max_size=12
+).map(lambda pieces: tuple(k for k, e in pieces for _ in range(e)))
+mixed_words = mixed_letters.map(naive_stack)
+
+
+class TestFormatRunsAgainstGroupby:
+    @given(mixed_words, st.sampled_from("xs"))
+    def test_reduced_words(self, w, symbol):
+        assert format_runs(w, symbol) == groupby_format_runs(w, symbol)
+
+    @given(mixed_letters, st.sampled_from("xs"))
+    def test_unreduced_letters(self, letters, symbol):
+        assert format_runs(letters, symbol) == groupby_format_runs(letters, symbol)
+        assert format_runs(list(letters), symbol) == groupby_format_runs(letters, symbol)
+
+    @given(mixed_words)
+    def test_word_round_trip(self, w):
+        assert parse_word(format_word(w)) == w
+
+    def test_empty_word(self):
+        for symbol in "xs":
+            assert format_runs((), symbol) == groupby_format_runs((), symbol) == ""
+        assert format_word(()) == "1"
+
+    def test_long_run(self):
+        w = (1,) * 100_000 + (-2,) * 3
+        assert format_word(w) == "x1^100000 x2^-3"
+        assert parse_word("x1^100000 x2^-3") == w
