@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import strategies as st
+
 from artinpres.braids import BraidWord, FramedPureBraid
 
 
@@ -28,3 +30,17 @@ def random_framed_pure_braid(
         letters.extend(gen)
     framings = tuple(rng.randint(-3, 3) for _ in range(n))
     return FramedPureBraid(BraidWord(n, tuple(letters)), framings)
+
+
+def large_members(entries):
+    """T4 and T5 members built from one integer v: (v, 0, +-1), (0, v, +-1),
+    (v + 1, v - 1, v) and (v - 1, v + 1, v)."""
+    shapes = [
+        lambda v: (v, 0, 1),
+        lambda v: (v, 0, -1),
+        lambda v: (0, v, 1),
+        lambda v: (0, v, -1),
+        lambda v: (v + 1, v - 1, v),
+        lambda v: (v - 1, v + 1, v),
+    ]
+    return st.builds(lambda shape, v: shape(v), st.sampled_from(shapes), entries)

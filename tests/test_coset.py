@@ -154,6 +154,10 @@ class TestBudget:
     def test_exhausted_budget(self):
         assert enumerate_cosets(T235, max_cosets=81) == Exceeded(81)
 
+    def test_exhausted_budget_on_trivial_group(self):
+        # r(5,1,2) is trivial, but two cosets are not enough to show it
+        assert enumerate_cosets(presentation_of((5, 1, 2)), max_cosets=2) == Exceeded(2)
+
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
             enumerate_cosets(T235, max_cosets=0)

@@ -30,6 +30,7 @@ from artinpres.fourmanifolds import (
 )
 from artinpres.triangle import Triviality, triviality_status
 from artinpres.twogen import build_r2, tuple_neg
+from conftest import large_members
 
 
 class TestMoves:
@@ -306,20 +307,6 @@ def normalize_or_none(normalize, t):
     except RuntimeError as exc:
         assert str(exc).startswith("no shrinking move available"), exc
         return None
-
-
-def large_members(entries):
-    """T4 and T5 members built from one integer v: (v, 0, +-1), (0, v, +-1),
-    (v + 1, v - 1, v) and (v - 1, v + 1, v)."""
-    shapes = [
-        lambda v: (v, 0, 1),
-        lambda v: (v, 0, -1),
-        lambda v: (0, v, 1),
-        lambda v: (0, v, -1),
-        lambda v: (v + 1, v - 1, v),
-        lambda v: (v - 1, v + 1, v),
-    ]
-    return st.builds(lambda shape, v: shape(v), st.sampled_from(shapes), entries)
 
 
 class TestAgainstGreedyReference:
