@@ -205,59 +205,43 @@ def abelianization_invariants(matrix: ExponentMatrix) -> tuple[int, ...]:
 
 
 def _smith_diagonal(entries: tuple[tuple[int, ...], ...]) -> list[int]:
-    # Elementary row/column reduction over Z.  Pivot selection takes the
-    # smallest nonzero entry of the trailing block; the divisibility fold
-    # keeps the diagonal a divisor chain.
+    # One smallest-pivot loop over Z: move the least nonzero entry of the
+    # trailing block to the pivot, divide its row and column by it, and add
+    # in a row with an entry it does not divide.  Each repeat leaves a
+    # remainder smaller than the pivot, so the loop ends, and a finished
+    # pivot divides the block after it, so the diagonal is a divisor chain.
     m = [list(row) for row in entries]
     size = len(m)
     diagonal: list[int] = []
     t = 0
     while t < size:
-        pivot = None
-        for i in range(t, size):
-            for j in range(t, size):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            diagonal.extend([0] * (size - t))
-            break
-        pi, pj = pivot
+        block = [(abs(m[i][j]), i, j) for i in range(t, size) for j in range(t, size) if m[i][j]]
+        if not block:
+            return diagonal + [0] * (size - t)
+        _, pi, pj = min(block)
         m[t], m[pi] = m[pi], m[t]
         for row in m:
             row[t], row[pj] = row[pj], row[t]
-        while True:
-            for i in range(t + 1, size):
-                while m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    for j in range(t, size):
-                        m[i][j] -= q * m[t][j]
-                    if m[i][t]:
-                        m[t], m[i] = m[i], m[t]
-            for j in range(t + 1, size):
-                while m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    for i in range(t, size):
-                        m[i][j] -= q * m[i][t]
-                    if m[t][j]:
-                        for row in m:
-                            row[t], row[j] = row[j], row[t]
-            if any(m[i][t] for i in range(t + 1, size)):
-                continue
-            offender = next(
-                (
-                    i
-                    for i in range(t + 1, size)
-                    for j in range(t + 1, size)
-                    if m[i][j] % m[t][t]
-                ),
-                None,
-            )
-            if offender is None:
-                break
+        pivot = m[t][t]
+        for i in range(t + 1, size):
+            q = m[i][t] // pivot
             for j in range(t, size):
-                m[t][j] += m[offender][j]
-        diagonal.append(abs(m[t][t]))
-        t += 1
+                m[i][j] -= q * m[t][j]
+        for j in range(t + 1, size):
+            q = m[t][j] // pivot
+            for i in range(t, size):
+                m[i][j] -= q * m[i][t]
+        if any(m[i][t] or m[t][i] for i in range(t + 1, size)):
+            continue
+        offender = next(
+            (i for i in range(t + 1, size) for j in range(t + 1, size) if m[i][j] % pivot),
+            None,
+        )
+        if offender is None:
+            diagonal.append(abs(pivot))
+            t += 1
+        else:
+            m[t] = [x + y for x, y in zip(m[t], m[offender])]
     return diagonal
 
 

@@ -30,8 +30,8 @@ from .artin import ArtinPresentation
 from .words import (
     ParseError,
     Word,
+    _conjugator_length,
     _join,
-    concat,
     exponent_sum,
     format_runs,
     generator_power,
@@ -95,13 +95,10 @@ def _split_conjugate(image: Word) -> tuple[Word, int]:
     failure to strip down to a single positive letter indicates a convention
     bug, not bad input.
     """
-    left, right = 0, len(image) - 1
-    while left < right and image[left] == -image[right]:
-        left += 1
-        right -= 1
-    if left != right or image[left] < 0:
+    k = _conjugator_length(image)
+    if len(image) != 2 * k + 1 or image[k] < 0:
         raise RuntimeError(f"image {image!r} is not a conjugate of a generator")
-    return image[:left], image[left]
+    return image[:k], image[k]
 
 
 def braid_automorphism(braid: BraidWord) -> dict[int, tuple[Word, int]]:
@@ -154,7 +151,7 @@ def braid_to_artin(fp: FramedPureBraid) -> ArtinPresentation:
             raise RuntimeError(f"pure braid moved generator x{i} to x{target}")
         tail = invert(conjugator)
         power = fp.framings[i - 1] - exponent_sum(tail, i)
-        relators.append(concat(generator_power(i, power), tail))
+        relators.append(_join((generator_power(i, power), tail)))
     return ArtinPresentation(fp.n, tuple(relators))
 
 

@@ -80,16 +80,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_braid2artin(args: argparse.Namespace) -> int:
-    fp = parse_braid(_read_input(args.file))
-    p = braid_to_artin(fp)
-    print(format_presentation(p.n, p.relators))
-    return 0
-
-
-def _cmd_invert(args: argparse.Namespace) -> int:
-    fp = parse_braid(_read_input(args.file))
-    p = artin_inverse(fp)
+def _cmd_braid(args: argparse.Namespace) -> int:
+    p = args.convert(parse_braid(_read_input(args.file)))
     print(format_presentation(p.n, p.relators))
     return 0
 
@@ -176,11 +168,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("braid2artin", help="Artin presentation of a framed pure braid file")
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_braid2artin)
+    p.set_defaults(handler=_cmd_braid, convert=braid_to_artin)
 
     p = sub.add_parser("invert", help="presentation of the inverse of a framed pure braid file")
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_invert)
+    p.set_defaults(handler=_cmd_braid, convert=artin_inverse)
 
     p = sub.add_parser("tuple", help="two-generator family operations")
     p.add_argument("action", choices=["build", "recognize", "add", "neg"])
@@ -236,10 +228,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

@@ -4,7 +4,11 @@ The enumerator semidecides finiteness of a finitely presented group: when
 the coset table closes, the number of live cosets equals the group order.
 A budget bounds the total number of cosets ever defined (live plus
 collapsed), so infinite groups come back as Exceeded, which callers must
-treat as "no information", never as "infinite".
+treat as "no information", never as "infinite".  DEFINITION_FIRST checks
+the budget before each definition and never passes it.  RELATOR_FIRST
+checks it after each relator scan, and a scan can define up to L - 1
+cosets, L the longest relator, so it can stop up to max(L - 1, 1) cosets
+past the budget.
 
 Two deterministic strategies are provided (Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, ch. 5).  RELATOR_FIRST is the
@@ -75,7 +79,9 @@ class Finite:
 class Exceeded:
     """The allocation budget ran out before the table closed.  The counters
     are those of Finite at the moment the budget ran out, and likewise do
-    not take part in equality."""
+    not take part in equality.  cosets_defined is at most limit for
+    DEFINITION_FIRST and at most limit + max(L - 1, 1) for RELATOR_FIRST,
+    where L is the longest relator."""
 
     limit: int
     cosets_defined: int = field(default=0, compare=False)

@@ -12,16 +12,13 @@ products of conjugates of the relators, checked by free reduction.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import compress, count
-from operator import add
 
 from .coset import FinitePresentation
-from .twogen import Tuple3, _twist_power, build_r2
-from .words import Word, _join, generator_power, invert
+from .twogen import Tuple3, _relators, _twist_power, build_r2
+from .words import Word, _conjugator_length, _join, invert
 
 
 @dataclass(frozen=True)
@@ -59,11 +56,16 @@ def delta(t: TriangleParams) -> Fraction:
     return Fraction(1, t.l) + Fraction(1, t.m) + Fraction(1, t.n)
 
 
+def _excess(l: int, m: int, n: int) -> int:
+    """lmn (1/l + 1/m + 1/n - 1), which has the sign of delta - 1."""
+    return m * n + l * n + l * m - l * m * n
+
+
 def classify_geometry(t: TriangleParams) -> GeometryClass:
-    d = delta(t)
-    if d > 1:
+    excess = _excess(t.l, t.m, t.n)
+    if excess > 0:
         return GeometryClass.SPHERICAL
-    if d == 1:
+    if excess == 0:
         return GeometryClass.EUCLIDEAN
     return GeometryClass.HYPERBOLIC
 
@@ -74,12 +76,13 @@ def spherical_order(t: TriangleParams) -> int:
     Always an integer for spherical parameters; cross-validated against the
     coset enumerator in the test suite.
     """
-    if classify_geometry(t) is not GeometryClass.SPHERICAL:
+    excess = _excess(t.l, t.m, t.n)
+    if excess <= 0:
         raise ValueError(f"({t.l},{t.m},{t.n}) is not spherical")
-    order = 2 / (delta(t) - 1)
-    if order.denominator != 1:
-        raise ArithmeticError(f"order {order} of ({t.l},{t.m},{t.n}) is not an integer")
-    return int(order)
+    order, remainder = divmod(2 * t.l * t.m * t.n, excess)
+    if remainder:
+        raise ArithmeticError(f"order of ({t.l},{t.m},{t.n}) is not an integer")
+    return order
 
 
 def triangle_presentation(t: TriangleParams) -> FinitePresentation:
@@ -109,7 +112,7 @@ def triangle_verdict(t: Tuple3) -> TriangleVerdict:
     p, q, s = abs(a - c), abs(b - c), abs(c)
     if min(p, q, s) < 2:
         return TriangleVerdict.INCONCLUSIVE
-    if q * s + p * s + p * q <= p * q * s:  # 1/p + 1/q + 1/s <= 1
+    if _excess(p, q, s) <= 0:
         return TriangleVerdict.INFINITE
     return TriangleVerdict.NONTRIVIAL
 
@@ -193,7 +196,7 @@ def _power(word: Word, exponent: int) -> Word:
         word, exponent = invert(word), -exponent
     if not word or not exponent:
         return ()
-    k = next(compress(count(), map(add, word, reversed(word))))
+    k = _conjugator_length(word)
     return word[:k] + word[k : len(word) - k] * exponent + word[len(word) - k :]
 
 
@@ -207,10 +210,7 @@ def check_certificate(t: Tuple3, certificate: TrivialityCertificate) -> bool:
     the first run then puts x1 and x2 in the normal closure of the
     relators.  Every product is a free reduction of reduced words.
     """
-    a, b, c = t
-    twist = _twist_power(c)
-    relators = tuple(_join((generator_power(k, e), twist)) for k, e in ((1, a - c), (2, b - c)))
-    for (r1, r2), outputs in ((relators, ((1,), (2,))), (((), ()), ((), ()))):
+    for (r1, r2), outputs in ((_relators(t), ((1,), (2,))), (((), ()), ((), ()))):
         values = {"x1": (1,), "x2": (2,), "r1": r1, "r2": r2}
         for name, factors in certificate:
             values[name] = _join(_power(values[symbol], e) for symbol, e in factors)
@@ -220,8 +220,8 @@ def check_certificate(t: Tuple3, certificate: TrivialityCertificate) -> bool:
 
 
 class Triviality(Enum):
-    """triviality_status returns TRIVIAL or NONTRIVIAL; UNKNOWN is kept for
-    callers that still name it and is no longer returned."""
+    """triviality_status returns TRIVIAL or NONTRIVIAL.  UNKNOWN is never
+    returned; it stays because benchmarks/certify_sweep.py still names it."""
 
     TRIVIAL = "trivial"
     NONTRIVIAL = "nontrivial"
@@ -235,7 +235,7 @@ class TrivialityResult:
     certificate: TrivialityCertificate | None = field(compare=False, default=None)
 
 
-def triviality_status(t: Tuple3, max_cosets: int | None = None) -> TrivialityResult:
+def triviality_status(t: Tuple3) -> TrivialityResult:
     """Whether r(a, b, c) presents the trivial group, decided from the triple.
 
     The paper's main theorem: r(a, b, c) is trivial exactly when
@@ -246,15 +246,7 @@ def triviality_status(t: Tuple3, max_cosets: int | None = None) -> TrivialityRes
     triviality_certificate, and check_certificate has passed on it; a
     certificate that fails raises RuntimeError.  No presentation is built
     and no coset is enumerated.
-
-    max_cosets is deprecated and has no effect; passing it warns.
     """
-    if max_cosets is not None:
-        warnings.warn(
-            "triviality_status no longer enumerates cosets; max_cosets has no effect",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     a, b, c = t
     if abs(a * b - c * c) != 1:
         return TrivialityResult(Triviality.NONTRIVIAL, "abelianization")

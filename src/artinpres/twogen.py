@@ -12,7 +12,7 @@ law: the family is a copy of Z^3.
 from __future__ import annotations
 
 from .artin import ArtinPresentation
-from .words import ParseError, Word, generator_power
+from .words import ParseError, Word, _join, generator_power
 
 Tuple3 = tuple[int, int, int]
 
@@ -22,16 +22,20 @@ def _twist_power(c: int) -> Word:
     return (1, 2) * c if c >= 0 else (-2, -1) * (-c)
 
 
-def build_r2(t: Tuple3) -> ArtinPresentation:
-    """Presentation with relators x1^(a-c)(x1x2)^c and x2^(b-c)(x1x2)^c.
+def _relators(t: Tuple3) -> tuple[Word, Word]:
+    """The reduced relators x1^(a-c)(x1x2)^c and x2^(b-c)(x1x2)^c.
 
     One code path for all triples; degenerate cases (c = 0, a = c, ...)
-    fall out of the reduction.
+    fall out of the join.
     """
     a, b, c = t
     twist = _twist_power(c)
-    relators = (generator_power(1, a - c) + twist, generator_power(2, b - c) + twist)
-    return ArtinPresentation(2, relators)
+    return _join((generator_power(1, a - c), twist)), _join((generator_power(2, b - c), twist))
+
+
+def build_r2(t: Tuple3) -> ArtinPresentation:
+    """Presentation with relators x1^(a-c)(x1x2)^c and x2^(b-c)(x1x2)^c."""
+    return ArtinPresentation(2, _relators(t))
 
 
 def recognize_r2(p: ArtinPresentation) -> Tuple3:

@@ -50,6 +50,13 @@ def _join(factors: Iterable[Word]) -> Word:
     return tuple(out)
 
 
+def _conjugator_length(word: Word) -> int:
+    """Length k of the longest prefix u = word[:k], k at most half the word,
+    such that the word ends in u^-1: word = u v u^-1 letter for letter.  On
+    a nonempty reduced word v is cyclically reduced.  Pairs compare in C."""
+    return next(compress(count(), map(add, word, reversed(word))), len(word) // 2)
+
+
 def free_reduce(letters: Iterable[int]) -> Word:
     """Cancel adjacent inverse pairs until none remain.  Idempotent and
     length-nonincreasing; a reduced word comes back as it is.  Raises
@@ -175,13 +182,14 @@ def parse_word(text: str) -> Word:
     """Parse whitespace-separated ``x<k>`` / ``x<k>^<e>`` tokens.
 
     The token ``1`` denotes the empty word and exponents may be negative or
-    zero.  The result is freely reduced.
+    zero.  The result is freely reduced; parse_runs has already rejected
+    every index below 1, so no letter is 0.
     """
     tokens = text.split()
     if not tokens:
         raise ParseError("empty word text; write '1' for the identity")
     message = "generator index must be >= 1 in token {token!r} at position {position}"
-    return free_reduce(parse_runs(tokens, "x", "word", lambda k: k >= 1, message, "1"))
+    return _reduced(parse_runs(tokens, "x", "word", lambda k: k >= 1, message, "1"))
 
 
 def format_word(word: Word) -> str:

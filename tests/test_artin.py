@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from artinpres.artin import (
     ArtinPresentation,
     ExponentMatrix,
+    _smith_diagonal,
     abelianization_invariants,
     artin_defect,
     compose,
@@ -332,6 +333,83 @@ class TestAbelianizationInvariants:
             assert is_unimodular(m) == all(
                 d == 1 for d in abelianization_invariants(m)
             )
+
+
+def smith_diagonal_reference(entries):
+    """The nested Euclid loops that _smith_diagonal replaced: rows and
+    columns swap partway through a division."""
+    m = [list(row) for row in entries]
+    size = len(m)
+    diagonal = []
+    t = 0
+    while t < size:
+        pivot = None
+        for i in range(t, size):
+            for j in range(t, size):
+                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            diagonal.extend([0] * (size - t))
+            break
+        pi, pj = pivot
+        m[t], m[pi] = m[pi], m[t]
+        for row in m:
+            row[t], row[pj] = row[pj], row[t]
+        while True:
+            for i in range(t + 1, size):
+                while m[i][t]:
+                    q = m[i][t] // m[t][t]
+                    for j in range(t, size):
+                        m[i][j] -= q * m[t][j]
+                    if m[i][t]:
+                        m[t], m[i] = m[i], m[t]
+            for j in range(t + 1, size):
+                while m[t][j]:
+                    q = m[t][j] // m[t][t]
+                    for i in range(t, size):
+                        m[i][j] -= q * m[i][t]
+                    if m[t][j]:
+                        for row in m:
+                            row[t], row[j] = row[j], row[t]
+            if any(m[i][t] for i in range(t + 1, size)):
+                continue
+            offender = next(
+                (i for i in range(t + 1, size) for j in range(t + 1, size) if m[i][j] % m[t][t]),
+                None,
+            )
+            if offender is None:
+                break
+            for j in range(t, size):
+                m[t][j] += m[offender][j]
+        diagonal.append(abs(m[t][t]))
+        t += 1
+    return diagonal
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices up to 6 x 6 with entries up to +-1000; a third are
+    products through a narrower middle, so rank-deficient."""
+    n = draw(st.integers(0, 6))
+    if n and draw(st.integers(0, 2)) == 0:
+        rank = draw(st.integers(0, n - 1))
+        small = st.integers(-12, 12)
+        left = draw(st.lists(st.lists(small, min_size=rank, max_size=rank), min_size=n, max_size=n))
+        right = draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=rank, max_size=rank))
+        return tuple(
+            tuple(sum(left[i][k] * right[k][j] for k in range(rank)) for j in range(n))
+            for i in range(n)
+        )
+    entries = st.integers(-1000, 1000) | st.integers(-3, 3)
+    row = st.lists(entries, min_size=n, max_size=n).map(tuple)
+    return tuple(draw(st.lists(row, min_size=n, max_size=n)))
+
+
+class TestSmithAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices())
+    def test_same_diagonal(self, entries):
+        assert _smith_diagonal(entries) == smith_diagonal_reference(entries)
 
 
 class TestPresentationText:

@@ -8,6 +8,7 @@ from artinpres.artin import compose, identity_presentation
 from artinpres.braids import (
     BraidWord,
     FramedPureBraid,
+    _split_conjugate,
     artin_inverse,
     braid_automorphism,
     braid_permutation,
@@ -17,7 +18,7 @@ from artinpres.braids import (
     parse_braid,
 )
 from artinpres.twogen import build_r2
-from artinpres.words import ParseError, exponent_sum, substitute
+from artinpres.words import ParseError, concat, exponent_sum, free_reduce, invert, substitute
 
 from conftest import random_framed_pure_braid
 
@@ -87,6 +88,49 @@ class TestAutomorphism:
         braid = BraidWord(4, tuple(letters))
         images = {i + 1: w for i, w in enumerate(generator_images(braid))}
         assert substitute((1, 2, 3, 4), images) == (1, 2, 3, 4)
+
+
+def split_conjugate_reference(image):
+    """The per-letter loop that _split_conjugate replaced."""
+    left, right = 0, len(image) - 1
+    while left < right and image[left] == -image[right]:
+        left += 1
+        right -= 1
+    if left != right or image[left] < 0:
+        raise RuntimeError(f"image {image!r} is not a conjugate of a generator")
+    return image[:left], image[left]
+
+
+def split_outcome(split, image):
+    try:
+        return split(image)
+    except RuntimeError:
+        return "not a conjugate"
+
+
+free_letters = st.lists(st.integers(-4, 4).filter(bool), max_size=12)
+
+
+class TestSplitConjugate:
+    @given(free_letters, st.integers(1, 4))
+    def test_conjugates_of_a_generator(self, letters, k):
+        image = concat(tuple(letters), (k,), invert(free_reduce(letters)))
+        conjugator, target = _split_conjugate(image)
+        assert (conjugator, target) == split_conjugate_reference(image)
+        assert concat(conjugator, (target,), invert(conjugator)) == image
+
+    @given(free_letters, st.integers(-4, 4).filter(bool), free_letters)
+    def test_other_words(self, left, middle, right):
+        # g x_k^-1 g^-1 has an inverse middle letter; g x g'^-1 is rarely a
+        # conjugate; the raw letters need not be reduced
+        g = free_reduce(left)
+        for image in (
+            g + (-abs(middle),) + invert(g),
+            concat(g, (middle,), tuple(right)),
+            tuple(left) + tuple(right),
+        ):
+            expected = split_outcome(split_conjugate_reference, image)
+            assert split_outcome(_split_conjugate, image) == expected, image
 
 
 class TestFramedPureBraid:

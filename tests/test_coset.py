@@ -390,6 +390,25 @@ def small_presentations(draw):
     return FinitePresentation(ngens, tuple(map(tuple, relators)))
 
 
+class TestBudgetBound:
+    """Relator-first checks the budget after each scan, and a scan of a
+    relator of length L defines at most L - 1 cosets; definition-first
+    checks it before each definition."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_presentations(), st.integers(1, 60), st.sampled_from(list(Strategy)))
+    def test_overshoot_at_most_longest_relator_less_one(self, presentation, budget, strategy):
+        result = enumerate_cosets(presentation, budget, strategy)
+        if strategy is Strategy.RELATOR_FIRST:
+            slack = max(max(map(len, presentation.relators)) - 1, 1)
+        else:
+            slack = 0
+        if isinstance(result, Finite):
+            assert result.cosets_defined <= budget
+        else:
+            assert budget <= result.cosets_defined <= budget + slack
+
+
 class TestAgainstNaiveReference:
     @settings(max_examples=60, deadline=None)
     @given(small_presentations(), st.sampled_from([50, 400]))

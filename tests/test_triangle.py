@@ -114,9 +114,19 @@ class TestTriangleVerdict:
 
     def test_integer_rule_matches_fractions(self):
         for p, q, s in product(range(2, 41), repeat=3):
-            infinite = Fraction(1, p) + Fraction(1, q) + Fraction(1, s) <= 1
-            expected = TriangleVerdict.INFINITE if infinite else TriangleVerdict.NONTRIVIAL
+            params = TriangleParams(p, q, s)
+            d = delta(params)
+            assert d == Fraction(1, p) + Fraction(1, q) + Fraction(1, s)
+            expected = TriangleVerdict.INFINITE if d <= 1 else TriangleVerdict.NONTRIVIAL
             assert triangle_verdict((s + p, s - q, s)) is expected, (p, q, s)
+            if d > 1:
+                assert classify_geometry(params) is GeometryClass.SPHERICAL
+                assert spherical_order(params) == 2 / (d - 1), (p, q, s)
+                continue
+            geometry = GeometryClass.EUCLIDEAN if d == 1 else GeometryClass.HYPERBOLIC
+            assert classify_geometry(params) is geometry, (p, q, s)
+            with pytest.raises(ValueError):
+                spherical_order(params)
 
     def test_verdict_consistent_with_coset_order(self):
         # whenever the certificate fires and enumeration still closes, the
@@ -157,11 +167,6 @@ class TestTrivialityStatus:
         assert status.status is Triviality.TRIVIAL
         assert status.reason is None
         assert status.certificate == triviality_certificate((5, 1, 2))
-
-    def test_max_cosets_deprecated_and_ignored(self):
-        with pytest.warns(DeprecationWarning, match="max_cosets"):
-            status = triviality_status((5, 1, 2), max_cosets=2)
-        assert status.status is Triviality.TRIVIAL
 
     def test_certificate_left_out_of_equality(self):
         assert triviality_status((5, 1, 2)) == TrivialityResult(Triviality.TRIVIAL)

@@ -1,9 +1,14 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from artinpres.artin import compose, identity_presentation
 from artinpres.twogen import (
+    _relators,
+    _twist_power,
     build_r2,
     format_tuple3,
     parse_tuple3,
@@ -11,7 +16,19 @@ from artinpres.twogen import (
     tuple_add,
     tuple_neg,
 )
-from artinpres.words import ParseError
+from artinpres.words import ParseError, free_reduce, generator_power
+
+from conftest import large_members
+
+
+def relators_by_free_reduction(t):
+    """x1^(a-c)(x1x2)^c and x2^(b-c)(x1x2)^c, concatenated, then reduced."""
+    a, b, c = t
+    twist = _twist_power(c)
+    return (
+        free_reduce(generator_power(1, a - c) + twist),
+        free_reduce(generator_power(2, b - c) + twist),
+    )
 
 
 class TestBuild:
@@ -32,6 +49,18 @@ class TestBuild:
     def test_matrix_shape(self, t):
         a, b, c = t
         assert build_r2(t).exponent_matrix().entries == ((a, c), (c, b))
+
+
+class TestSharedRelators:
+    def test_small_grid(self):
+        for t in product(range(-6, 7), repeat=3):
+            relators = _relators(t)
+            assert relators == relators_by_free_reduction(t) == build_r2(t).relators, t
+
+    @given(large_members(st.integers(-(10**4), 10**4)))
+    def test_large_members(self, t):
+        relators = _relators(t)
+        assert relators == relators_by_free_reduction(t) == build_r2(t).relators
 
 
 class TestRecognize:
