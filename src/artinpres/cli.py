@@ -20,11 +20,10 @@ from .artin import (
     artin_defect,
     compose,
     exponent_matrix,
-    format_presentation,
     parse_presentation,
 )
 from .braids import artin_inverse, braid_to_artin, parse_braid
-from .coset import Exceeded, Finite, FinitePresentation, Strategy, enumerate_cosets
+from .coset import Finite, FinitePresentation, Strategy, enumerate_cosets
 from .fourmanifolds import (
     MovePath,
     classify_x4_with_path,
@@ -65,8 +64,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_compose(args: argparse.Namespace) -> int:
     u = ArtinPresentation(*parse_presentation(_read_input(args.first)))
     r = ArtinPresentation(*parse_presentation(_read_input(args.second)))
-    composed = compose(u, r)
-    print(format_presentation(composed.n, composed.relators))
+    print(compose(u, r))
     return 0
 
 
@@ -82,14 +80,14 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 def _cmd_braid(args: argparse.Namespace) -> int:
     p = args.convert(parse_braid(_read_input(args.file)))
-    print(format_presentation(p.n, p.relators))
+    print(p)
     return 0
 
 
 def _cmd_tuple(args: argparse.Namespace) -> int:
     if args.action == "build":
         p = build_r2(parse_tuple3(args.args[0]))
-        print(format_presentation(p.n, p.relators))
+        print(p)
     elif args.action == "recognize":
         p = ArtinPresentation(*parse_presentation(_read_input(args.args[0])))
         print(format_tuple3(recognize_r2(p)))
@@ -133,10 +131,8 @@ def _cmd_coset(args: argparse.Namespace) -> int:
     )
     if isinstance(result, Finite):
         print(f"order={result.order} cosets={result.cosets_defined}")
-    elif isinstance(result, Exceeded):
-        print(f"exceeded={result.limit}")
     else:
-        raise TypeError(f"unexpected coset enumeration result {result!r}")
+        print(f"exceeded={result.limit}")
     return 0
 
 

@@ -2,13 +2,10 @@
 
 The enumerator semidecides finiteness of a finitely presented group: when
 the coset table closes, the number of live cosets equals the group order.
-A budget bounds the total number of cosets ever defined (live plus
-collapsed), so infinite groups come back as Exceeded, which callers must
-treat as "no information", never as "infinite".  DEFINITION_FIRST checks
-the budget before each definition and never passes it.  RELATOR_FIRST
-checks it after each relator scan, and a scan can define up to L - 1
-cosets, L the longest relator, so it can stop up to max(L - 1, 1) cosets
-past the budget.
+The budget bounds the cosets ever defined (live plus collapsed); no
+strategy passes it.  The table holds the budget and refuses the
+definition that would pass it, so infinite groups come back as Exceeded,
+which callers must treat as "no information", never as "infinite".
 
 Two deterministic strategies are provided (Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, ch. 5).  RELATOR_FIRST is the
@@ -79,9 +76,8 @@ class Finite:
 class Exceeded:
     """The allocation budget ran out before the table closed.  The counters
     are those of Finite at the moment the budget ran out, and likewise do
-    not take part in equality.  cosets_defined is at most limit for
-    DEFINITION_FIRST and at most limit + max(L - 1, 1) for RELATOR_FIRST,
-    where L is the longest relator."""
+    not take part in equality.  No strategy passes the budget, so
+    cosets_defined always equals limit."""
 
     limit: int
     cosets_defined: int = field(default=0, compare=False)
@@ -94,6 +90,10 @@ EnumResult = Finite | Exceeded
 # A relator compiled for scanning: the table column of each letter, read
 # forward, and the column of each letter's inverse, read backward.
 _Compiled = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+class _BudgetExhausted(Exception):
+    """The table refused to define a coset past its budget."""
 
 
 class CosetTable:
@@ -110,14 +110,19 @@ class CosetTable:
     merge() returns, live rows refer to live cosets only and scans need no
     representative lookups.  Dead rows keep their storage.
 
+    The budget given to the constructor bounds the cosets ever defined:
+    _define, the only code that makes a coset, raises _BudgetExhausted in
+    place of making one past it, and leaves the table as it was.
+
     When deductions is a list, every entry the table gains is pushed on it
     as its flat position c * ncols + column, together with its inverse
     entry, and a merge pushes every defined entry of each surviving row in
-    the same way; the Felsch loop in enumerate_cosets drains it.
+    the same way; the Felsch loop in _definition_first drains it.
     """
 
-    def __init__(self, ngens: int) -> None:
+    def __init__(self, ngens: int, max_cosets: int) -> None:
         self.ngens = ngens
+        self.max_cosets = max_cosets
         self.ncols = 2 * ngens
         self.table: list[int] = [-1] * self.ncols
         self.parent: list[int] = [0]
@@ -148,6 +153,8 @@ class CosetTable:
 
     def _define(self, coset: int, column: int) -> int:
         new = self.defined
+        if new == self.max_cosets:
+            raise _BudgetExhausted
         n = self.ncols
         self.table.extend([-1] * n)
         self.table[coset * n + column] = new
@@ -202,24 +209,20 @@ class CosetTable:
                     if target >= 0:
                         self.deductions += (mu * n + column, target * n + (column ^ 1))
 
-    def scan(self, start: int, word: Word, fill: bool) -> bool:
-        """Trace the cycle that a relator forces at a coset.
+    def _scan(
+        self, start: int, forward: tuple[int, ...], backward: tuple[int, ...], fill: bool
+    ) -> None:
+        """Trace the cycle that a compiled relator forces at a coset.
 
         Walks forward along defined entries, then backward from the far end.
         A one-letter gap becomes a deduction, a mismatch at the meeting
         point a coincidence.  With fill=True, wider gaps are bridged by
-        defining new cosets, so the scan always completes.  Returns True if
-        the table changed.
+        defining new cosets, so the scan completes unless the budget runs
+        out.
         """
-        return self._scan(self.rep(start), *_compile(word), fill)
-
-    def _scan(
-        self, start: int, forward: tuple[int, ...], backward: tuple[int, ...], fill: bool
-    ) -> bool:
         table, n = self.table, self.ncols
         f = b = start
         i, j = 0, len(forward) - 1
-        changed = False
         while True:
             while i <= j:
                 nxt = table[f * n + forward[i]]
@@ -238,33 +241,31 @@ class CosetTable:
                 # both walks covered the word; the junction cosets coincide
                 if f != b:
                     self.merge(f, b)
-                    return True
-                return changed
+                return
             if i == j:
                 table[f * n + forward[i]] = b
                 table[b * n + backward[i]] = f
                 if self.deductions is not None:
                     self.deductions += (f * n + forward[i], b * n + backward[i])
-                return True
+                return
             if not fill:
-                return changed
+                return
             f = self._define(f, forward[i])
-            changed = True
             i += 1
 
     def check_consistency(self) -> None:
-        """Inverse-pair invariant: entry(k, x) = k' iff entry(k', x^-1) = k,
-        up to union-find representatives.  Assertable between scans."""
-        table, n = self.table, self.ncols
+        """The invariant merge() restores and _scan relies on: every entry
+        of a live row names a live coset whose inverse entry points straight
+        back.  Assertable between scans."""
+        table, n, parent = self.table, self.ncols, self.parent
         for coset in range(self.defined):
-            if not self.is_live(coset):
+            if parent[coset] != coset:
                 continue
             for column in range(n):
-                raw = table[coset * n + column]
-                if raw < 0:
-                    continue
-                back = table[self.rep(raw) * n + (column ^ 1)]
-                if back < 0 or self.rep(back) != coset:
+                target = table[coset * n + column]
+                if target >= 0 and (
+                    parent[target] != target or table[target * n + (column ^ 1)] != coset
+                ):
                     raise AssertionError(
                         f"table inconsistent at coset {coset}, column {column}"
                     )
@@ -286,25 +287,26 @@ def enumerate_cosets(
     """Enumerate cosets of the trivial subgroup.
 
     Returns Finite(order, total defined) when the table closes, in which
-    case order is exactly the group order, or Exceeded(max_cosets) once the
-    allocation budget is exhausted.  Deterministic for a fixed strategy;
-    raising the budget never changes a Finite answer.
+    case order is exactly the group order, or Exceeded(max_cosets) when
+    closing it would define more than max_cosets cosets.  The budget bounds
+    the cosets ever defined; no strategy passes it.  Deterministic for a
+    fixed strategy: a run that closes after defining D cosets gives the
+    same Finite under every budget of at least D, and Exceeded under any
+    smaller one.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
     relators = tuple(r for r in presentation.relators if r)
-    table = CosetTable(presentation.ngens)
-    if strategy is Strategy.RELATOR_FIRST:
-        exceeded = _relator_first(table, relators, max_cosets, validate)
-    else:
-        exceeded = _definition_first(table, relators, max_cosets, validate)
-    counters = (table.defined, table.peak_live, table.coincidences)
-    return Exceeded(max_cosets, *counters) if exceeded else Finite(table.live, *counters)
+    table = CosetTable(presentation.ngens, max_cosets)
+    run = _relator_first if strategy is Strategy.RELATOR_FIRST else _definition_first
+    try:
+        run(table, relators, validate)
+    except _BudgetExhausted:
+        return Exceeded(max_cosets, table.defined, table.peak_live, table.coincidences)
+    return Finite(table.live, table.defined, table.peak_live, table.coincidences)
 
 
-def _relator_first(
-    table: CosetTable, relators: tuple[Word, ...], max_cosets: int, validate: bool
-) -> bool:
+def _relator_first(table: CosetTable, relators: tuple[Word, ...], validate: bool) -> None:
     compiled = [_compile(r) for r in relators]
     tab, n, parent = table.table, table.ncols, table.parent
     alpha = 0
@@ -314,8 +316,6 @@ def _relator_first(
             continue
         for forward, backward in compiled:
             table._scan(alpha, forward, backward, True)
-            if table.defined > max_cosets:
-                return True
             if validate:
                 table.check_consistency()
             if parent[alpha] != alpha:
@@ -325,15 +325,10 @@ def _relator_first(
             for column in range(n):
                 if tab[row + column] < 0:
                     table._define(alpha, column)
-                    if table.defined > max_cosets:
-                        return True
         alpha += 1
-    return False
 
 
-def _definition_first(
-    table: CosetTable, relators: tuple[Word, ...], max_cosets: int, validate: bool
-) -> bool:
+def _definition_first(table: CosetTable, relators: tuple[Word, ...], validate: bool) -> None:
     n = table.ncols
     # every distinct cyclic conjugate of each relator, filed under the column
     # of its first letter; entries are pushed both ways, so a cycle through
@@ -371,11 +366,9 @@ def _definition_first(
             try:
                 hole = tab.index(-1, hole)
             except ValueError:
-                return False
+                return
             coset = hole // n
             if parent[coset] == coset:
                 break
             hole = (coset + 1) * n
-        if table.defined + 1 > max_cosets:
-            return True
         new = table._define(coset, hole % n)

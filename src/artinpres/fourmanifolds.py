@@ -184,18 +184,15 @@ class MovePath:
         return sum(1 for step in self.steps if step.move == "mirror") % 2 == 1
 
 
-def _is_base(t: Tuple3) -> bool:
-    return t in ((1, 1, 0), (1, -1, 0)) or (t[1] == 0 and t[2] == 1)
-
-
-def _base_class(t: Tuple3) -> FourManifold:
+def _base_class(t: Tuple3) -> FourManifold | None:
+    """Manifold of a base diagram, or None if t is not one."""
     if t == (1, 1, 0):
         return FourManifold.CP2_CP2
     if t == (1, -1, 0):
         return FourManifold.CP2_MCP2
-    if t[1] != 0 or t[2] != 1:
-        raise ValueError(f"{t} is not a base triple")
-    return FourManifold.S2XS2 if t[0] % 2 == 0 else FourManifold.CP2_MCP2
+    if t[1] == 0 and t[2] == 1:
+        return FourManifold.S2XS2 if t[0] % 2 == 0 else FourManifold.CP2_MCP2
+    return None
 
 
 _REVERSED = {
@@ -229,9 +226,9 @@ def reduce_to_base(t: Tuple3) -> MovePath:
         steps.append(MoveStep(move, result))
         current = result
 
-    while not _is_base(current):
+    while _base_class(current) is None:
         s = size(current)
-        if _is_base(swapped := swap(current)):
+        if _base_class(swapped := swap(current)) is not None:
             push("swap", swapped)
         elif size(first := slide1(current)) < s:
             push("slide1", first)

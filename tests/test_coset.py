@@ -8,6 +8,7 @@ from artinpres.coset import (
     Finite,
     FinitePresentation,
     Strategy,
+    _BudgetExhausted,
     enumerate_cosets,
 )
 from artinpres.fourmanifolds import enumerate_trivial
@@ -179,12 +180,40 @@ class TestTableInternals:
         assert CosetTable.column(-3) == 5
 
     def test_merge_keeps_row_zero(self):
-        table = CosetTable(1)
+        table = CosetTable(1, 10)
         first = table.define(0, 1)
         second = table.define(first, 1)
         table.merge(second, 0)
         assert table.is_live(0)
         assert table.rep(second) == 0
+        table.check_consistency()
+
+    def test_consistency_rejects_broken_inverse_entry(self):
+        table = CosetTable(1, 10)
+        first = table.define(0, 1)
+        table.table[first * table.ncols + CosetTable.column(-1)] = -1
+        with pytest.raises(AssertionError):
+            table.check_consistency()
+
+    def test_consistency_rejects_entry_into_dead_row(self):
+        # 0 -x-> 1 with 1 collapsed into 0 by hand and the x^-1 entry of
+        # row 0 naming 0: every entry checks out up to representatives,
+        # but row 0 still names the dead coset 1
+        table = CosetTable(1, 10)
+        first = table.define(0, 1)
+        table.parent[first] = 0
+        table.live -= 1
+        table.table[CosetTable.column(-1)] = 0
+        with pytest.raises(AssertionError):
+            table.check_consistency()
+
+    def test_table_refuses_definition_past_budget(self):
+        table = CosetTable(1, 2)
+        table.define(0, 1)
+        snapshot = list(table.table)
+        with pytest.raises(_BudgetExhausted):
+            table.define(0, -1)
+        assert (table.defined, table.live, table.table) == (2, 2, snapshot)
 
 
 class TestCounters:
@@ -200,7 +229,7 @@ class TestCounters:
 
     @pytest.mark.parametrize(
         "strategy, counters",
-        [(Strategy.RELATOR_FIRST, (402, 402, 0)), (Strategy.DEFINITION_FIRST, (400, 400, 0))],
+        [(Strategy.RELATOR_FIRST, (400, 400, 0)), (Strategy.DEFINITION_FIRST, (400, 400, 0))],
     )
     def test_budget_hit_on_euclidean_triangle_group(self, strategy, counters):
         result = enumerate_cosets(T333, max_cosets=400, strategy=strategy)
@@ -208,10 +237,11 @@ class TestCounters:
         assert (result.cosets_defined, result.peak_live, result.coincidences) == counters
 
     def test_budget_hit_after_coincidences(self):
-        # relator-first defines its 82nd coset inside a scan, past the budget
+        # relator-first would define its 82nd coset inside a scan; the
+        # table refuses it and the run stops there
         result = enumerate_cosets(T235, max_cosets=81)
         assert result == Exceeded(81)
-        assert (result.cosets_defined, result.peak_live, result.coincidences) == (82, 69, 11)
+        assert (result.cosets_defined, result.peak_live, result.coincidences) == (81, 68, 11)
 
 
 # Naive references: the enumerator as it was before the flat table, with
@@ -391,22 +421,24 @@ def small_presentations(draw):
 
 
 class TestBudgetBound:
-    """Relator-first checks the budget after each scan, and a scan of a
-    relator of length L defines at most L - 1 cosets; definition-first
-    checks it before each definition."""
+    """The budget bounds the cosets ever defined; no strategy passes it.
+    A run stops exactly at the budget, and a budget changes only where a
+    run stops, never the definitions it makes."""
 
     @settings(max_examples=200, deadline=None)
     @given(small_presentations(), st.integers(1, 60), st.sampled_from(list(Strategy)))
-    def test_overshoot_at_most_longest_relator_less_one(self, presentation, budget, strategy):
+    def test_stops_exactly_at_budget(self, presentation, budget, strategy):
         result = enumerate_cosets(presentation, budget, strategy)
-        if strategy is Strategy.RELATOR_FIRST:
-            slack = max(max(map(len, presentation.relators)) - 1, 1)
-        else:
-            slack = 0
         if isinstance(result, Finite):
             assert result.cosets_defined <= budget
         else:
-            assert budget <= result.cosets_defined <= budget + slack
+            assert result.cosets_defined == budget
+        closure = enumerate_cosets(presentation, 10_000, strategy)
+        if isinstance(closure, Finite):
+            if closure.cosets_defined <= budget:
+                assert result == closure
+            else:
+                assert result == Exceeded(budget)
 
 
 class TestAgainstNaiveReference:
