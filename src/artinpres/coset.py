@@ -7,14 +7,21 @@ strategy passes it.  The table holds the budget and refuses the
 definition that would pass it, so infinite groups come back as Exceeded,
 which callers must treat as "no information", never as "infinite".
 
+The table keeps one row per coset, a list of its 2 * ngens entries, so a
+scan step is one subscript of a row.  A coincidence folds each dead row
+into its representative and then releases it, so memory follows the live
+cosets, not every coset ever defined, and no coset is renumbered.  Each
+strategy makes one scan call per coset it traces, against all the
+relators that apply there.
+
 Two deterministic strategies are provided (Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, ch. 5).  RELATOR_FIRST is the
 classic scan-and-fill loop: each coset in definition order is traced around
 every relator, defining new cosets to bridge gaps, and then has its
 remaining table entries filled.  DEFINITION_FIRST is Felsch's strategy.
 It defines one coset at a time, at the first hole of the table, found by a
-pointer that only moves forward: rows before it are full or dead, and live
-rows only gain entries.  Every entry the table gains, by a definition, a
+pointer that only moves forward: rows before it are full or released, and
+live rows only gain entries.  Every entry the table gains, by a definition, a
 deduction or a coincidence, goes on a stack of deductions together with its
 inverse entry.  Processing one scans, at its coset, only the cyclic
 conjugates of the relators that begin with its column; with both entries
@@ -87,9 +94,10 @@ class Exceeded:
 
 EnumResult = Finite | Exceeded
 
-# A relator compiled for scanning: the table column of each letter, read
-# forward, and the column of each letter's inverse, read backward.
-_Compiled = tuple[tuple[int, ...], tuple[int, ...]]
+# A relator compiled for scanning: the (index, table column) pair of each
+# letter, read forward, and the column of each letter's inverse, read
+# backward.
+_Compiled = tuple[tuple[tuple[int, int], ...], tuple[int, ...]]
 
 
 class _BudgetExhausted(Exception):
@@ -99,32 +107,34 @@ class _BudgetExhausted(Exception):
 class CosetTable:
     """Partial multiplication table on cosets of the trivial subgroup.
 
-    The table is one flat list: the row of coset c starts at c * ncols, and
-    -1 marks an undefined entry.  Columns alternate generator and inverse:
-    column 2(k-1) holds the x_k image, column 2(k-1)+1 the x_k^-1 image, so
+    rows[c] is the row of coset c: a list of 2 * ngens entries, -1 marking
+    an undefined one.  Columns alternate generator and inverse: column
+    2(k-1) holds the x_k image, column 2(k-1)+1 the x_k^-1 image, so
     column ^ 1 is the inverse column.  Every entry has its inverse entry.
 
     Coincidences are handled by union-find with the smaller coset as
     representative, so coset 0 never dies.  A merge folds each dead row
     into its representative and repoints the entries that named it, so once
     merge() returns, live rows refer to live cosets only and scans need no
-    representative lookups.  Dead rows keep their storage.
+    representative lookups.  Once folded, a dead coset is named by no entry
+    and its row is released (rows[c] is None), so the table holds at most
+    peak_live rows while no coset is renumbered.
 
     The budget given to the constructor bounds the cosets ever defined:
     _define, the only code that makes a coset, raises _BudgetExhausted in
     place of making one past it, and leaves the table as it was.
 
     When deductions is a list, every entry the table gains is pushed on it
-    as its flat position c * ncols + column, together with its inverse
-    entry, and a merge pushes every defined entry of each surviving row in
-    the same way; the Felsch loop in _definition_first drains it.
+    as its position c * ncols + column, together with its inverse entry,
+    and a merge pushes every defined entry of each surviving row in the
+    same way; the Felsch loop in _definition_first drains it.
     """
 
     def __init__(self, ngens: int, max_cosets: int) -> None:
         self.ngens = ngens
         self.max_cosets = max_cosets
         self.ncols = 2 * ngens
-        self.table: list[int] = [-1] * self.ncols
+        self.rows: list[list[int] | None] = [[-1] * self.ncols]
         self.parent: list[int] = [0]
         self.live = 1
         self.defined = 1
@@ -155,24 +165,26 @@ class CosetTable:
         new = self.defined
         if new == self.max_cosets:
             raise _BudgetExhausted
-        n = self.ncols
-        self.table.extend([-1] * n)
-        self.table[coset * n + column] = new
-        self.table[new * n + (column ^ 1)] = coset
+        row = [-1] * self.ncols
+        row[column ^ 1] = coset
+        self.rows.append(row)
+        self.rows[coset][column] = new
         self.parent.append(new)
         self.defined += 1
         self.live += 1
         if self.live > self.peak_live:
             self.peak_live = self.live
         if self.deductions is not None:
+            n = self.ncols
             self.deductions += (coset * n + column, new * n + (column ^ 1))
         return new
 
     def merge(self, a: int, b: int) -> None:
         """Identify two cosets and fold tables, queueing induced
-        coincidences until none remain."""
+        coincidences until none remain; each dead row is released once
+        folded."""
         self.coincidences += 1
-        table, n, rep = self.table, self.ncols, self.rep
+        rows, rep = self.rows, self.rep
         dead: list[int] = []
 
         def union(a: int, b: int) -> None:
@@ -186,85 +198,102 @@ class CosetTable:
 
         union(a, b)
         for gamma in dead:  # union() appends while this loop runs
-            row = gamma * n
-            for column in range(n):
-                delta = table[row + column]
+            # enumerate reads the row as it goes: a loop at gamma clears
+            # the inverse entry ahead of the walk
+            for column, delta in enumerate(rows[gamma]):
                 if delta < 0:
                     continue
                 back = column ^ 1
-                table[delta * n + back] = -1
+                rows[delta][back] = -1
                 mu, nu = rep(gamma), rep(delta)
-                target = table[mu * n + column]
-                if target >= 0:
-                    union(nu, target)
-                elif table[nu * n + back] >= 0:
-                    union(mu, table[nu * n + back])
+                mu_row, nu_row = rows[mu], rows[nu]
+                if mu_row[column] >= 0:
+                    union(nu, mu_row[column])
+                elif nu_row[back] >= 0:
+                    union(mu, nu_row[back])
                 else:
-                    table[mu * n + column] = nu
-                    table[nu * n + back] = mu
+                    mu_row[column] = nu
+                    nu_row[back] = mu
+            rows[gamma] = None
         if self.deductions is not None:
+            n = self.ncols
             for mu in dict.fromkeys(map(rep, dead)):
-                for column in range(n):
-                    target = table[mu * n + column]
+                for column, target in enumerate(rows[mu]):
                     if target >= 0:
                         self.deductions += (mu * n + column, target * n + (column ^ 1))
 
-    def _scan(
-        self, start: int, forward: tuple[int, ...], backward: tuple[int, ...], fill: bool
-    ) -> None:
-        """Trace the cycle that a compiled relator forces at a coset.
+    def _scan(self, coset: int, relators: list[_Compiled], fill: bool) -> None:
+        """Trace, in order, the cycle each compiled relator forces at a
+        coset; returns as soon as the coset dies.
 
         Walks forward along defined entries, then backward from the far end.
         A one-letter gap becomes a deduction, a mismatch at the meeting
         point a coincidence.  With fill=True, wider gaps are bridged by
-        defining new cosets, so the scan completes unless the budget runs
+        defining new cosets, so each scan completes unless the budget runs
         out.
         """
-        table, n = self.table, self.ncols
-        f = b = start
-        i, j = 0, len(forward) - 1
-        while True:
-            while i <= j:
-                nxt = table[f * n + forward[i]]
+        rows, parent, deductions, n = self.rows, self.parent, self.deductions, self.ncols
+        for steps, backward in relators:
+            if parent[coset] != coset:
+                return
+            f = coset
+            for i, column in steps:
+                nxt = rows[f][column]
                 if nxt < 0:
                     break
                 f = nxt
-                i += 1
-            if i <= j:
+            else:
+                # the forward walk covered the word; it must end where it began
+                if f != coset:
+                    self.merge(f, coset)
+                continue
+            b = coset
+            j = len(backward) - 1
+            while True:
                 while j >= i:
-                    nxt = table[b * n + backward[j]]
+                    nxt = rows[b][backward[j]]
                     if nxt < 0:
                         break
                     b = nxt
                     j -= 1
-            if j < i:
-                # both walks covered the word; the junction cosets coincide
-                if f != b:
-                    self.merge(f, b)
-                return
-            if i == j:
-                table[f * n + forward[i]] = b
-                table[b * n + backward[i]] = f
-                if self.deductions is not None:
-                    self.deductions += (f * n + forward[i], b * n + backward[i])
-                return
-            if not fill:
-                return
-            f = self._define(f, forward[i])
-            i += 1
+                if j < i:
+                    # both walks covered the word; the junction cosets coincide
+                    if f != b:
+                        self.merge(f, b)
+                    break
+                column = steps[i][1]
+                if i == j:
+                    rows[f][column] = b
+                    rows[b][backward[i]] = f
+                    if deductions is not None:
+                        deductions += (f * n + column, b * n + backward[i])
+                    break
+                if not fill:
+                    break
+                # the new coset's one entry is the inverse of letter i; fill
+                # is only asked for on freely reduced relators, where letter
+                # i + 1 is not that inverse, so a forward walk could not
+                # leave the new coset
+                f = self._define(f, column)
+                i += 1
 
     def check_consistency(self) -> None:
-        """The invariant merge() restores and _scan relies on: every entry
-        of a live row names a live coset whose inverse entry points straight
-        back.  Assertable between scans."""
-        table, n, parent = self.table, self.ncols, self.parent
-        for coset in range(self.defined):
-            if parent[coset] != coset:
+        """The invariant merge() restores and _scan relies on: a coset has a
+        row exactly while it is live, and every entry of a live row names a
+        live coset whose inverse entry points straight back.  Assertable
+        between scans."""
+        rows, parent = self.rows, self.parent
+        if len(rows) != self.defined:
+            raise AssertionError(f"{len(rows)} rows for {self.defined} cosets")
+        for coset, row in enumerate(rows):
+            if (row is None) == (parent[coset] == coset):
+                state = "live coset without" if row is None else "dead coset keeps"
+                raise AssertionError(f"{state} its row: {coset}")
+            if row is None:
                 continue
-            for column in range(n):
-                target = table[coset * n + column]
+            for column, target in enumerate(row):
                 if target >= 0 and (
-                    parent[target] != target or table[target * n + (column ^ 1)] != coset
+                    parent[target] != target or rows[target][column ^ 1] != coset
                 ):
                     raise AssertionError(
                         f"table inconsistent at coset {coset}, column {column}"
@@ -273,7 +302,7 @@ class CosetTable:
 
 def _compile(word: Word) -> _Compiled:
     return (
-        tuple(CosetTable.column(letter) for letter in word),
+        tuple(enumerate(map(CosetTable.column, word))),
         tuple(CosetTable.column(-letter) for letter in word),
     )
 
@@ -308,23 +337,20 @@ def enumerate_cosets(
 
 def _relator_first(table: CosetTable, relators: tuple[Word, ...], validate: bool) -> None:
     compiled = [_compile(r) for r in relators]
-    tab, n, parent = table.table, table.ncols, table.parent
+    # one scan call per coset; validation checks the table after every relator
+    batches = [[c] for c in compiled] if validate else [compiled]
+    rows, parent = table.rows, table.parent
     alpha = 0
     while alpha < table.defined:
-        if parent[alpha] != alpha:
-            alpha += 1
-            continue
-        for forward, backward in compiled:
-            table._scan(alpha, forward, backward, True)
-            if validate:
-                table.check_consistency()
-            if parent[alpha] != alpha:
-                break
-        else:
-            row = alpha * n
-            for column in range(n):
-                if tab[row + column] < 0:
-                    table._define(alpha, column)
+        if parent[alpha] == alpha:
+            for batch in batches:
+                table._scan(alpha, batch, True)
+                if validate:
+                    table.check_consistency()
+            if parent[alpha] == alpha:
+                for column, target in enumerate(rows[alpha]):
+                    if target < 0:
+                        table._define(alpha, column)
         alpha += 1
 
 
@@ -344,31 +370,21 @@ def _definition_first(table: CosetTable, relators: tuple[Word, ...], validate: b
     # no table entry leads into a length-1 relator's cycle before the scan
     # that defines it, so each new coset is scanned against them directly
     short = [_compile(r) for r in relators if len(r) == 1]
-    tab, parent = table.table, table.parent
+    rows = table.rows
     stack = table.deductions = []
     new = 0
     hole = 0
     while True:
-        for forward, backward in short:
-            table._scan(new, forward, backward, False)
+        table._scan(new, short, False)
         while stack:
-            position = stack.pop()
-            coset, column = divmod(position, n)
-            for forward, backward in by_column[column]:
-                if parent[coset] != coset:
-                    break
-                table._scan(coset, forward, backward, False)
+            coset, column = divmod(stack.pop(), n)
+            table._scan(coset, by_column[column], False)
         if validate:
             table.check_consistency()
-        # rows before the hole are full or dead, and live rows only gain
+        # rows before the hole are full or released, and live rows only gain
         # entries, so the next hole is never behind this one
-        while True:
-            try:
-                hole = tab.index(-1, hole)
-            except ValueError:
+        while (row := rows[hole]) is None or -1 not in row:
+            hole += 1
+            if hole == table.defined:
                 return
-            coset = hole // n
-            if parent[coset] == coset:
-                break
-            hole = (coset + 1) * n
-        new = table._define(coset, hole % n)
+        new = table._define(hole, row.index(-1))

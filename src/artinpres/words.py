@@ -17,6 +17,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 Word = tuple[int, ...]
 
+# Largest |exponent| parse_runs accepts in one token, so that a short text
+# cannot ask for an arbitrarily long word.
+MAX_EXPONENT = 10**6
+
 
 class ParseError(ValueError):
     """Malformed textual input (word grammar, presentation or braid files)."""
@@ -164,17 +168,25 @@ def parse_runs(
     """Unreduced letters of format_runs tokens; ``identity`` stands for none.
 
     Each distinct token is parsed once, so errors name the first bad token
-    and its position; ``index_error`` is formatted with both.
+    and its position; ``index_error`` is formatted with both.  A token whose
+    exponent exceeds MAX_EXPONENT in absolute value is an error too.
     """
     pattern = re.compile(rf"{symbol}(\d+)(?:\^(-?\d+))?")
     memo: dict[str | None, Word] = {identity: ()}
     for token in dict.fromkeys(tokens):
         match = pattern.fullmatch(token)
-        if match and index_ok(index := int(match.group(1))):
-            memo[token] = generator_power(index, int(match.group(2) or 1))
-        elif token != identity:
-            message = index_error if match else f"bad {kind} token {{token!r}} at position {{position}}"
-            raise ParseError(message.format(token=token, position=tokens.index(token) + 1))
+        if not match:
+            if token == identity:
+                continue
+            message = f"bad {kind} token {{token!r}} at position {{position}}"
+        elif not index_ok(index := int(match.group(1))):
+            message = index_error
+        elif abs(exponent := int(match.group(2) or 1)) > MAX_EXPONENT:
+            message = f"exponent beyond {MAX_EXPONENT} in {kind} token {{token!r}} at position {{position}}"
+        else:
+            memo[token] = generator_power(index, exponent)
+            continue
+        raise ParseError(message.format(token=token, position=tokens.index(token) + 1))
     return tuple(chain.from_iterable(map(memo.__getitem__, tokens)))
 
 

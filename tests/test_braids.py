@@ -263,6 +263,10 @@ class TestBraidText:
                 "braid 3 : s1 s2 s3^2 ; framings = 0,0,0",
                 "crossing index must be in 1..2 in token 's3^2'",
             ),
+            (
+                "braid 2 : s1^2 s1^-2000000 ; framings = 0,0",
+                "exponent beyond 1000000 in braid token 's1^-2000000' at position 2",
+            ),
         ],
     )
     def test_parse_error_text(self, text, message):

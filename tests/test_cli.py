@@ -253,6 +253,11 @@ class TestErrorHandling:
         code, _, _ = run(capsys, "verify", write("p.txt", "artin 1\nr1 = q5\n"))
         assert code == 2
 
+    def test_exponent_past_cap_in_file(self, capsys, write):
+        code, out, err = run(capsys, "coset", write("p.txt", "artin 1\nr1 = x1^1000000000\n"))
+        assert (code, out) == (2, "")
+        assert err == "error: exponent beyond 1000000 in word token 'x1^1000000000' at position 1\n"
+
     def test_no_command(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2

@@ -191,7 +191,7 @@ class TestTableInternals:
     def test_consistency_rejects_broken_inverse_entry(self):
         table = CosetTable(1, 10)
         first = table.define(0, 1)
-        table.table[first * table.ncols + CosetTable.column(-1)] = -1
+        table.rows[first][CosetTable.column(-1)] = -1
         with pytest.raises(AssertionError):
             table.check_consistency()
 
@@ -203,17 +203,51 @@ class TestTableInternals:
         first = table.define(0, 1)
         table.parent[first] = 0
         table.live -= 1
-        table.table[CosetTable.column(-1)] = 0
+        table.rows[0][CosetTable.column(-1)] = 0
         with pytest.raises(AssertionError):
+            table.check_consistency()
+
+    def test_merge_releases_dead_rows(self):
+        # 0 -x-> 1 -x-> 2 -x-> 3 -x-> 4; identifying 4 with 2 folds the
+        # chain down to a cycle of length 2, and every dead row is released
+        table = CosetTable(1, 10)
+        coset = 0
+        for _ in range(4):
+            coset = table.define(coset, 1)
+        table.merge(4, 2)
+        assert [table.is_live(c) for c in range(5)] == [True, True, False, False, False]
+        assert table.rows[2:] == [None, None, None]
+        assert table.rows[:2] == [[1, 1], [0, 0]]
+        table.check_consistency()
+
+    def test_consistency_rejects_dead_row_kept(self):
+        # 0 -x-> 1 with 1 collapsed into 0 by hand and every entry naming
+        # it removed: the table is consistent but for the row of 1
+        table = CosetTable(1, 10)
+        first = table.define(0, 1)
+        table.parent[first] = 0
+        table.live -= 1
+        table.rows[0][CosetTable.column(1)] = -1
+        with pytest.raises(AssertionError, match="dead coset keeps its row"):
+            table.check_consistency()
+        table.rows[first] = None
+        table.check_consistency()
+
+    def test_consistency_rejects_live_row_released(self):
+        table = CosetTable(1, 10)
+        first = table.define(0, 1)
+        table.rows[0][CosetTable.column(1)] = -1
+        table.rows[first] = None
+        with pytest.raises(AssertionError, match="live coset without its row"):
             table.check_consistency()
 
     def test_table_refuses_definition_past_budget(self):
         table = CosetTable(1, 2)
         table.define(0, 1)
-        snapshot = list(table.table)
+        snapshot = [list(row) for row in table.rows]
         with pytest.raises(_BudgetExhausted):
             table.define(0, -1)
-        assert (table.defined, table.live, table.table) == (2, 2, snapshot)
+        assert (table.defined, table.live, table.rows) == (2, 2, snapshot)
 
 
 class TestCounters:
@@ -235,6 +269,12 @@ class TestCounters:
         result = enumerate_cosets(T333, max_cosets=400, strategy=strategy)
         assert result == Exceeded(400)
         assert (result.cosets_defined, result.peak_live, result.coincidences) == counters
+
+    def test_relator_first_on_symmetric_group_of_degree_seven(self):
+        # a table 7 times larger than any other pin guards the definition order
+        result = enumerate_cosets(coxeter_symmetric(7))
+        assert result == Finite(5040, 12145)
+        assert (result.peak_live, result.coincidences) == (5208, 6987)
 
     def test_budget_hit_after_coincidences(self):
         # relator-first would define its 82nd coset inside a scan; the

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from artinpres.words import (
+    MAX_EXPONENT,
     ParseError,
     concat,
     conjugate,
@@ -139,6 +140,9 @@ class TestParseFormat:
 
     def test_format_collapses_runs(self):
         assert format_word((2, 2, -1)) == "x2^2 x1^-1"
+
+    def test_exponent_cap_is_inclusive(self):
+        assert parse_word(f"x1^-{MAX_EXPONENT} x2") == (-1,) * MAX_EXPONENT + (2,)
 
     def test_bad_token_reports_position(self):
         with pytest.raises(ParseError, match="position 2"):
@@ -331,6 +335,14 @@ class TestAgainstNaiveReference:
             ("x1 x2^ x1 x2^", "bad word token 'x2^' at position 2"),
             ("x2 x1^2 x0^3", "generator index must be >= 1 in token 'x0^3' at position 3"),
             ("x1 x0 y", "generator index must be >= 1 in token 'x0' at position 2"),
+            (
+                "x1 x2^1000001",
+                "exponent beyond 1000000 in word token 'x2^1000001' at position 2",
+            ),
+            (
+                "x2 x1^-1000001 x1^1000000000",
+                "exponent beyond 1000000 in word token 'x1^-1000001' at position 2",
+            ),
         ],
     )
     def test_parse_error_text(self, text, message):
