@@ -10,9 +10,15 @@ which callers must treat as "no information", never as "infinite".
 The table keeps one row per coset, a list of its 2 * ngens entries, so a
 scan step is one subscript of a row.  A coincidence folds each dead row
 into its representative and then releases it, so memory follows the live
-cosets, not every coset ever defined, and no coset is renumbered.  Each
-strategy makes one scan call per coset it traces, against all the
-relators that apply there.
+cosets, not every coset ever defined, and no coset is renumbered.  The
+merge resolves representatives inline and calls the compressing find only
+for a coset more than one step from its representative.  Each strategy
+makes one scan call per coset it traces, against all the relators that
+apply there.  Relator-first scans most cycles after they have closed, so
+its scans first walk each relator's columns alone and stop there when the
+walk comes back to the coset, or when one period of a proper power leads
+to a coset scanned before; only an open cycle, or one that closes on
+another coset, pays for the full scan.
 
 Two deterministic strategies are provided (Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, ch. 5).  RELATOR_FIRST is the
@@ -94,10 +100,14 @@ class Exceeded:
 
 EnumResult = Finite | Exceeded
 
-# A relator compiled for scanning: the (index, table column) pair of each
-# letter, read forward, and the column of each letter's inverse, read
+# A relator compiled for scanning: the table columns of its letters, split
+# after the first period of a proper power (the whole relator is the second
+# part otherwise), for the closing walk; the same columns paired with their
+# indices, read forward; and the column of each letter's inverse, read
 # backward.
-_Compiled = tuple[tuple[tuple[int, int], ...], tuple[int, ...]]
+_Compiled = tuple[
+    tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...], tuple[int, ...]
+]
 
 
 class _BudgetExhausted(Exception):
@@ -167,13 +177,14 @@ class CosetTable:
             raise _BudgetExhausted
         row = [-1] * self.ncols
         row[column ^ 1] = coset
-        self.rows.append(row)
-        self.rows[coset][column] = new
+        rows = self.rows
+        rows[coset][column] = new
+        rows.append(row)
         self.parent.append(new)
-        self.defined += 1
-        self.live += 1
-        if self.live > self.peak_live:
-            self.peak_live = self.live
+        self.defined = new + 1
+        self.live = live = self.live + 1
+        if live > self.peak_live:
+            self.peak_live = live
         if self.deductions is not None:
             n = self.ncols
             self.deductions += (coset * n + column, new * n + (column ^ 1))
@@ -182,22 +193,29 @@ class CosetTable:
     def merge(self, a: int, b: int) -> None:
         """Identify two cosets and fold tables, queueing induced
         coincidences until none remain; each dead row is released once
-        folded."""
+        folded.
+
+        The finds are inline: a coset that is live, or one step from its
+        representative, is resolved by two subscripts, and only a longer
+        path calls rep(), which compresses it.  So the unions, and the
+        compressed parent links, are exactly those of one rep() call per
+        find.
+        """
         self.coincidences += 1
-        rows, rep = self.rows, self.rep
-        dead: list[int] = []
-
-        def union(a: int, b: int) -> None:
-            a, b = rep(a), rep(b)
-            if a != b:
-                if b < a:
-                    a, b = b, a
-                self.parent[b] = a
-                self.live -= 1
-                dead.append(b)
-
-        union(a, b)
-        for gamma in dead:  # union() appends while this loop runs
+        rows, parent, rep = self.rows, self.parent, self.rep
+        mu = parent[a]
+        if parent[mu] != mu:
+            mu = rep(a)
+        nu = parent[b]
+        if parent[nu] != nu:
+            nu = rep(b)
+        if mu == nu:
+            return
+        if nu < mu:
+            mu, nu = nu, mu
+        parent[nu] = mu
+        dead = [nu]
+        for gamma in dead:  # the unions below append while this loop runs
             # enumerate reads the row as it goes: a loop at gamma clears
             # the inverse entry ahead of the walk
             for column, delta in enumerate(rows[gamma]):
@@ -205,16 +223,32 @@ class CosetTable:
                     continue
                 back = column ^ 1
                 rows[delta][back] = -1
-                mu, nu = rep(gamma), rep(delta)
+                mu = parent[gamma]
+                if parent[mu] != mu:
+                    mu = rep(gamma)
+                nu = parent[delta]
+                if parent[nu] != nu:
+                    nu = rep(delta)
                 mu_row, nu_row = rows[mu], rows[nu]
+                # the representative kept, and the coset to identify with it
                 if mu_row[column] >= 0:
-                    union(nu, mu_row[column])
+                    keep, other = nu, mu_row[column]
                 elif nu_row[back] >= 0:
-                    union(mu, nu_row[back])
+                    keep, other = mu, nu_row[back]
                 else:
                     mu_row[column] = nu
                     nu_row[back] = mu
+                    continue
+                root = parent[other]
+                if parent[root] != root:
+                    root = rep(other)
+                if root != keep:
+                    if root < keep:
+                        keep, root = root, keep
+                    parent[root] = keep
+                    dead.append(root)
             rows[gamma] = None
+        self.live -= len(dead)
         if self.deductions is not None:
             n = self.ncols
             for mu in dict.fromkeys(map(rep, dead)):
@@ -231,11 +265,44 @@ class CosetTable:
         point a coincidence.  With fill=True, wider gaps are bridged by
         defining new cosets, so each scan completes unless the budget runs
         out.
+
+        fill=True is relator-first, which scans the cosets in increasing
+        order, once the cycles through them are mostly closed.  There a
+        closing walk over the relator's columns alone goes first, and a
+        cycle it finds closed at the coset needs nothing more.  The walk
+        around a proper power u^m also stops after its first u when it
+        reaches a coset below this one: that coset is live, so it was
+        scanned against the relator, and the cycle that scan closed, which
+        every merge since has kept closed, runs through here.  Only a walk
+        that meets an undefined entry, or closes on another coset, goes on
+        to the full scan, which walks it again counting letters.  Felsch
+        scans the cycles through a fresh entry, most of which are still
+        open, so it starts with the full scan.  Only a merge can kill the
+        coset, so liveness is checked on entry and after each merge.
         """
         rows, parent, deductions, n = self.rows, self.parent, self.deductions, self.ncols
-        for steps, backward in relators:
-            if parent[coset] != coset:
-                return
+        if parent[coset] != coset:
+            return
+        for head, tail, steps, backward in relators:
+            if fill:
+                # the closing walk: one subscript pair and one compare per
+                # letter; on an undefined entry f is -1
+                f = coset
+                for column in head:
+                    f = rows[f][column]
+                    if f < 0:
+                        break
+                else:
+                    if f < coset:
+                        # the closed cycle of a coset scanned before this
+                        # one runs through here
+                        continue
+                    for column in tail:
+                        f = rows[f][column]
+                        if f < 0:
+                            break
+                if f == coset:
+                    continue
             f = coset
             for i, column in steps:
                 nxt = rows[f][column]
@@ -246,6 +313,8 @@ class CosetTable:
                 # the forward walk covered the word; it must end where it began
                 if f != coset:
                     self.merge(f, coset)
+                    if parent[coset] != coset:
+                        return
                 continue
             b = coset
             j = len(backward) - 1
@@ -260,6 +329,8 @@ class CosetTable:
                     # both walks covered the word; the junction cosets coincide
                     if f != b:
                         self.merge(f, b)
+                        if parent[coset] != coset:
+                            return
                     break
                 column = steps[i][1]
                 if i == j:
@@ -300,11 +371,24 @@ class CosetTable:
                     )
 
 
-def _compile(word: Word) -> _Compiled:
+def _compile(word: Word, period: int = 0) -> _Compiled:
+    columns = tuple(map(CosetTable.column, word))
     return (
-        tuple(enumerate(map(CosetTable.column, word))),
+        columns[:period],
+        columns[period:],
+        tuple(enumerate(columns)),
         tuple(CosetTable.column(-letter) for letter in word),
     )
+
+
+def _power_period(word: Word) -> int:
+    """The length of the shortest u with word = u^m for some m >= 2, or 0
+    when the word is no proper power."""
+    n = len(word)
+    for p in range(1, n // 2 + 1):
+        if n % p == 0 and word[:p] * (n // p) == word:
+            return p
+    return 0
 
 
 def enumerate_cosets(
@@ -336,7 +420,7 @@ def enumerate_cosets(
 
 
 def _relator_first(table: CosetTable, relators: tuple[Word, ...], validate: bool) -> None:
-    compiled = [_compile(r) for r in relators]
+    compiled = [_compile(r, _power_period(r)) for r in relators]
     # one scan call per coset; validation checks the table after every relator
     batches = [[c] for c in compiled] if validate else [compiled]
     rows, parent = table.rows, table.parent
@@ -347,8 +431,9 @@ def _relator_first(table: CosetTable, relators: tuple[Word, ...], validate: bool
                 table._scan(alpha, batch, True)
                 if validate:
                     table.check_consistency()
-            if parent[alpha] == alpha:
-                for column, target in enumerate(rows[alpha]):
+            # a row is mostly full once scanned, which `in` checks in C
+            if parent[alpha] == alpha and -1 in (row := rows[alpha]):
+                for column, target in enumerate(row):
                     if target < 0:
                         table._define(alpha, column)
         alpha += 1

@@ -17,9 +17,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 Word = tuple[int, ...]
 
-# Largest |exponent| parse_runs accepts in one token, so that a short text
-# cannot ask for an arbitrarily long word.
+# Largest |exponent|, and largest index, parse_runs accepts in one token, so
+# that a short text cannot ask for an arbitrarily long word.
 MAX_EXPONENT = 10**6
+_MAX_DIGITS = len(str(MAX_EXPONENT))
 
 
 class ParseError(ValueError):
@@ -169,25 +170,38 @@ def parse_runs(
 
     Each distinct token is parsed once, so errors name the first bad token
     and its position; ``index_error`` is formatted with both.  A token whose
-    exponent exceeds MAX_EXPONENT in absolute value is an error too.
+    index or exponent exceeds MAX_EXPONENT in absolute value is an error
+    too.  Leading zeros are dropped and the remaining digits counted before
+    int() sees them, so no token is too long for int() to convert.
     """
-    pattern = re.compile(rf"{symbol}(\d+)(?:\^(-?\d+))?")
+    pattern = re.compile(rf"{symbol}0*(\d+)(?:\^(-?)0*(\d+))?")
     memo: dict[str | None, Word] = {identity: ()}
+    beyond = f"beyond {MAX_EXPONENT} in {kind} token {{token!r}} at position {{position}}"
     for token in dict.fromkeys(tokens):
         match = pattern.fullmatch(token)
         if not match:
             if token == identity:
                 continue
             message = f"bad {kind} token {{token!r}} at position {{position}}"
-        elif not index_ok(index := int(match.group(1))):
+        elif (index := _bounded(match.group(1))) is None:
+            message = "index " + beyond
+        elif not index_ok(index):
             message = index_error
-        elif abs(exponent := int(match.group(2) or 1)) > MAX_EXPONENT:
-            message = f"exponent beyond {MAX_EXPONENT} in {kind} token {{token!r}} at position {{position}}"
+        elif (exponent := _bounded(match.group(3) or "1")) is None:
+            message = "exponent " + beyond
         else:
-            memo[token] = generator_power(index, exponent)
+            memo[token] = generator_power(index, -exponent if match.group(2) else exponent)
             continue
         raise ParseError(message.format(token=token, position=tokens.index(token) + 1))
     return tuple(chain.from_iterable(map(memo.__getitem__, tokens)))
+
+
+def _bounded(digits: str) -> int | None:
+    """The value of a digit string without leading zeros, or None past
+    MAX_EXPONENT; too many digits mean None before int() is called."""
+    if len(digits) > _MAX_DIGITS or (value := int(digits)) > MAX_EXPONENT:
+        return None
+    return value
 
 
 def parse_word(text: str) -> Word:

@@ -267,12 +267,25 @@ class TestBraidText:
                 "braid 2 : s1^2 s1^-2000000 ; framings = 0,0",
                 "exponent beyond 1000000 in braid token 's1^-2000000' at position 2",
             ),
+            # more digits than int() converts by default (4,300)
+            (
+                "braid 2 : s1^2 s1^-" + "7" * 5000 + " ; framings = 0,0",
+                f"exponent beyond 1000000 in braid token 's1^-{'7' * 5000}' at position 2",
+            ),
+            (
+                "braid 2 : s" + "7" * 5000 + " ; framings = 0,0",
+                f"index beyond 1000000 in braid token 's{'7' * 5000}' at position 1",
+            ),
         ],
     )
     def test_parse_error_text(self, text, message):
         with pytest.raises(ParseError) as caught:
             parse_braid(text)
         assert str(caught.value) == message
+
+    def test_zero_padded_numbers(self):
+        fp = parse_braid("braid 2 : s01^0002 s1^" + "0" * 5000 + "2 ; framings = 0,0")
+        assert fp.braid.letters == (1,) * 4
 
     def test_round_trip_long_runs(self):
         fp = FramedPureBraid(BraidWord(3, (1,) * 12 + (-2,) * 6 + (2, 1, 1, -2)), (0, 1, -1))

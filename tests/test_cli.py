@@ -258,6 +258,21 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err == "error: exponent beyond 1000000 in word token 'x1^1000000000' at position 1\n"
 
+    @pytest.mark.parametrize(
+        "relator, kind",
+        [("x1^" + "7" * 5000, "exponent"), ("x" + "7" * 5000, "index")],
+    )
+    def test_number_too_long_for_int_in_file(self, capsys, write, relator, kind):
+        # more digits than int() converts by default (4,300): a parse error,
+        # not int()'s ValueError
+        code, out, err = run(capsys, "coset", write("p.txt", f"artin 1\nr1 = {relator}\n"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {kind} beyond 1000000 in word token '{relator}' at position 1\n"
+
+    def test_zero_padded_exponent_in_file(self, capsys, write):
+        code, out, _ = run(capsys, "coset", write("p.txt", "artin 1\nr1 = x1^" + "0" * 5000 + "1\n"))
+        assert (code, out) == (0, "order=1 cosets=1\n")
+
     def test_no_command(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2

@@ -9,6 +9,9 @@ from artinpres.coset import (
     FinitePresentation,
     Strategy,
     _BudgetExhausted,
+    _definition_first,
+    _power_period,
+    _relator_first,
     enumerate_cosets,
 )
 from artinpres.fourmanifolds import enumerate_trivial
@@ -241,6 +244,13 @@ class TestTableInternals:
         with pytest.raises(AssertionError, match="live coset without its row"):
             table.check_consistency()
 
+    @pytest.mark.parametrize(
+        "word, period",
+        [((1,), 0), ((1, 1), 1), ((1, 2) * 3, 2), ((1, 2, 1), 0), ((1, 2, 1, 2, 1), 0), ((1,) * 4, 1)],
+    )
+    def test_power_period(self, word, period):
+        assert _power_period(word) == period
+
     def test_table_refuses_definition_past_budget(self):
         table = CosetTable(1, 2)
         table.define(0, 1)
@@ -275,6 +285,12 @@ class TestCounters:
         result = enumerate_cosets(coxeter_symmetric(7))
         assert result == Finite(5040, 12145)
         assert (result.peak_live, result.coincidences) == (5208, 6987)
+
+    def test_relator_first_on_symmetric_group_of_degree_eight(self):
+        # the largest table the benchmark builds: 65,236 coincidences
+        result = enumerate_cosets(coxeter_symmetric(8), max_cosets=1_000_000)
+        assert result == Finite(40320, 106296)
+        assert (result.peak_live, result.coincidences) == (40930, 65236)
 
     def test_budget_hit_after_coincidences(self):
         # relator-first would define its 82nd coset inside a scan; the
@@ -531,3 +547,145 @@ class TestClosedForms:
             enumerate_cosets(presentation, strategy=strategy).order for strategy in Strategy
         }
         assert orders == {1}
+
+
+# Reference: the scan and merge of the per-coset-row table before the
+# closing walk and the inline finds.  Every scan starts with the indexed
+# forward walk, liveness is checked before every relator, and every find
+# is a rep() call made through a union closure.  The current table must
+# leave the same rows and parent links, so the same representatives,
+# after every enumeration.
+
+
+class IndexedWalkCosetTable(CosetTable):
+    def merge(self, a, b):
+        self.coincidences += 1
+        rows, rep = self.rows, self.rep
+        dead = []
+
+        def union(a, b):
+            a, b = rep(a), rep(b)
+            if a != b:
+                if b < a:
+                    a, b = b, a
+                self.parent[b] = a
+                self.live -= 1
+                dead.append(b)
+
+        union(a, b)
+        for gamma in dead:
+            for column, delta in enumerate(rows[gamma]):
+                if delta < 0:
+                    continue
+                back = column ^ 1
+                rows[delta][back] = -1
+                mu, nu = rep(gamma), rep(delta)
+                mu_row, nu_row = rows[mu], rows[nu]
+                if mu_row[column] >= 0:
+                    union(nu, mu_row[column])
+                elif nu_row[back] >= 0:
+                    union(mu, nu_row[back])
+                else:
+                    mu_row[column] = nu
+                    nu_row[back] = mu
+            rows[gamma] = None
+        if self.deductions is not None:
+            n = self.ncols
+            for mu in dict.fromkeys(map(rep, dead)):
+                for column, target in enumerate(rows[mu]):
+                    if target >= 0:
+                        self.deductions += (mu * n + column, target * n + (column ^ 1))
+
+    def _scan(self, coset, relators, fill):
+        rows, parent, deductions, n = self.rows, self.parent, self.deductions, self.ncols
+        for _head, _tail, steps, backward in relators:
+            if parent[coset] != coset:
+                return
+            f = coset
+            for i, column in steps:
+                nxt = rows[f][column]
+                if nxt < 0:
+                    break
+                f = nxt
+            else:
+                if f != coset:
+                    self.merge(f, coset)
+                continue
+            b = coset
+            j = len(backward) - 1
+            while True:
+                while j >= i:
+                    nxt = rows[b][backward[j]]
+                    if nxt < 0:
+                        break
+                    b = nxt
+                    j -= 1
+                if j < i:
+                    if f != b:
+                        self.merge(f, b)
+                    break
+                column = steps[i][1]
+                if i == j:
+                    rows[f][column] = b
+                    rows[b][backward[i]] = f
+                    if deductions is not None:
+                        deductions += (f * n + column, b * n + backward[i])
+                    break
+                if not fill:
+                    break
+                f = self._define(f, column)
+                i += 1
+
+
+def run_table(table_class, presentation, budget, strategy, validate):
+    """The table enumerate_cosets builds, left as the run ends."""
+    table = table_class(presentation.ngens, budget)
+    run = _relator_first if strategy is Strategy.RELATOR_FIRST else _definition_first
+    try:
+        run(table, tuple(r for r in presentation.relators if r), validate)
+    except _BudgetExhausted:
+        pass
+    return table
+
+
+def table_state(table):
+    return (
+        table.rows,
+        table.parent,
+        table.live,
+        table.defined,
+        table.peak_live,
+        table.coincidences,
+    )
+
+
+def result_fields(result):
+    return (type(result).__name__, *vars(result).values())
+
+
+class TestAgainstIndexedWalkReference:
+    @settings(max_examples=120, deadline=None)
+    @given(small_presentations(), st.sampled_from([50, 400]), st.sampled_from(list(Strategy)))
+    def test_same_table_and_counters(self, presentation, budget, strategy):
+        table = run_table(CosetTable, presentation, budget, strategy, True)
+        reference = run_table(IndexedWalkCosetTable, presentation, budget, strategy, True)
+        assert table_state(table) == table_state(reference)
+        result = enumerate_cosets(presentation, budget, strategy, validate=True)
+        if isinstance(result, Finite):
+            expected = ("Finite", reference.live, reference.defined)
+        else:
+            expected = ("Exceeded", budget, reference.defined)
+        assert result_fields(result) == expected + (reference.peak_live, reference.coincidences)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_coincidence_heavy_tables(self, strategy):
+        # relator-first on the rank-3 presentation finds a coset two steps
+        # from its representative as the second coset of a union, so a find
+        # there that does not compress leaves other parent links
+        deep_find = FinitePresentation(
+            3, ((-1, 3, 2, 1, -3), (2, -3, 2, -1, 3, 3), (1, 3, 1, 2))
+        )
+        for presentation in (T235, PSL27, COINCIDENT, coxeter_symmetric(6), deep_find):
+            table = run_table(CosetTable, presentation, 100_000, strategy, False)
+            reference = run_table(IndexedWalkCosetTable, presentation, 100_000, strategy, False)
+            assert table_state(table) == table_state(reference)

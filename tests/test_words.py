@@ -343,12 +343,29 @@ class TestAgainstNaiveReference:
                 "x2 x1^-1000001 x1^1000000000",
                 "exponent beyond 1000000 in word token 'x1^-1000001' at position 2",
             ),
+            ("x1 x1000001", "index beyond 1000000 in word token 'x1000001' at position 2"),
+            # more digits than int() converts by default (4,300)
+            (
+                "x1 x1^" + "7" * 5000,
+                f"exponent beyond 1000000 in word token 'x1^{'7' * 5000}' at position 2",
+            ),
+            (
+                "x1 x2 x" + "7" * 5000,
+                f"index beyond 1000000 in word token 'x{'7' * 5000}' at position 3",
+            ),
         ],
     )
     def test_parse_error_text(self, text, message):
         with pytest.raises(ParseError) as caught:
             parse_word(text)
         assert str(caught.value) == message
+
+    def test_leading_zeros_do_not_count_toward_the_cap(self):
+        assert parse_word("x1^007") == (1,) * 7
+        assert parse_word("x0002^-03") == (-2,) * 3
+        assert parse_word(f"x1^{MAX_EXPONENT:010d}") == (1,) * MAX_EXPONENT
+        assert parse_word("x1^" + "0" * 5000 + "1") == (1,)
+        assert parse_word("x" + "0" * 5000 + "2^-" + "0" * 5000) == ()
 
 
 # Reference: format_runs as it was before it grouped the adjacent-equal
