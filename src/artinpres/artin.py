@@ -14,21 +14,22 @@ additive homomorphism from that group to the n x n integer matrices.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
 from .words import (
+    MAX_EXPONENT,
     ParseError,
     Word,
+    _bounded,
     _join,
-    exponent_sum,
     format_word,
     invert,
     max_generator,
     parse_word,
     reduce_relators,
-    substitute,
 )
 
 
@@ -94,17 +95,21 @@ class ExponentMatrix:
         return ExponentMatrix(tuple(tuple(-a for a in row) for row in self.entries))
 
 
-def _checked_defect(n: int, relators: Sequence[Word]) -> tuple[tuple[Word, ...], Word]:
-    """The relators reduced and range-checked once, and the defect on them;
-    every factor of the identity's product is reduced, so they are joined
-    without another check."""
+def _checked(n: int, relators: Sequence[Word]) -> tuple[Word, ...]:
+    """The relators reduced and range-checked once, n of them."""
     reduced = reduce_relators(n, relators)
     if len(reduced) != n:
         raise ValueError(f"expected {n} relators, got {len(reduced)}")
+    return reduced
+
+
+def _defect(n: int, relators: tuple[Word, ...]) -> Word:
+    """The defect of reduced relators in x_1 .. x_n; every factor of the
+    identity's product is reduced, so they are joined without another check."""
     factors = chain.from_iterable(
-        (invert(relator), (i,), relator) for i, relator in enumerate(reduced, start=1)
+        (invert(relator), (i,), relator) for i, relator in enumerate(relators, start=1)
     )
-    return reduced, _join((invert(_join(factors)), tuple(range(1, n + 1))))
+    return _join((invert(_join(factors)), tuple(range(1, n + 1))))
 
 
 def artin_defect(n: int, relators: Sequence[Word]) -> Word:
@@ -113,7 +118,7 @@ def artin_defect(n: int, relators: Sequence[Word]) -> Word:
     Returns reduce(inverse(product of r_i^-1 x_i r_i) * x_1...x_n), which is
     empty exactly when (n, relators) is an Artin presentation.
     """
-    return _checked_defect(n, relators)[1]
+    return _defect(n, _checked(n, relators))
 
 
 def is_artin(n: int, relators: Sequence[Word]) -> bool:
@@ -125,18 +130,24 @@ def is_artin(n: int, relators: Sequence[Word]) -> bool:
 class ArtinPresentation:
     """A validated Artin presentation.
 
-    Relators are stored freely reduced (but not cyclically reduced), and the
-    constructor rejects any relator list violating the defining identity, so
-    every instance in circulation is genuinely Artin.  Equality is literal
-    word-for-word equality of the reduced relators.
+    The constructor reduces and range-checks the relators, then rejects any
+    relator list violating the defining identity, so every instance in
+    circulation is genuinely Artin.  Relators are stored freely reduced (but
+    not cyclically reduced).  Equality is literal word-for-word equality of
+    the reduced relators.  Library code whose relators are already reduced
+    words in x_1 .. x_n builds instances through _from_reduced, which skips
+    only the reduction.
     """
 
     n: int
     relators: tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        relators, defect = _checked_defect(self.n, self.relators)
-        object.__setattr__(self, "relators", relators)
+        object.__setattr__(self, "relators", _checked(self.n, self.relators))
+        self._require_artin()
+
+    def _require_artin(self) -> None:
+        defect = _defect(self.n, self.relators)
         if defect:
             raise ValueError(
                 f"relators do not satisfy the Artin identity (defect {format_word(defect)})"
@@ -152,6 +163,17 @@ class ArtinPresentation:
         return format_presentation(self.n, self.relators)
 
 
+def _from_reduced(n: int, relators: tuple[Word, ...]) -> ArtinPresentation:
+    """ArtinPresentation(n, relators) for n reduced relators in x_1 .. x_n,
+    such as joins of reduced words: the Artin check runs, the reduction
+    and range check, a no-op on such words, do not."""
+    p = object.__new__(ArtinPresentation)
+    object.__setattr__(p, "n", n)
+    object.__setattr__(p, "relators", relators)
+    p._require_artin()
+    return p
+
+
 def identity_presentation(n: int) -> ArtinPresentation:
     """The identity element: all relators empty."""
     if n < 0:
@@ -163,28 +185,32 @@ def compose(u: ArtinPresentation, r: ArtinPresentation) -> ArtinPresentation:
     """Group operation: relator i of the result is u_i * R_i, where R_i is
     r_i with every x_j replaced by u_j^-1 x_j u_j.
 
-    The exponent matrix of the result is the sum of the two inputs'.  Stored
-    relators and substitute's output are reduced, so the products are joined
-    without another check.
+    The exponent matrix of the result is the sum of the two inputs'.  The
+    images of x_j and x_j^-1 are built once; they and the stored relators
+    are reduced, so each relator is one join of them, and the result is
+    Artin-checked without being reduced again.
     """
     if u.n != r.n:
         raise ValueError(f"generator counts differ: {u.n} vs {r.n}")
-    images = {j: _join((invert(u_j), (j,), u_j)) for j, u_j in enumerate(u.relators, start=1)}
+    table = {}
+    for j, u_j in enumerate(u.relators, start=1):
+        table[j] = _join((invert(u_j), (j,), u_j))
+        table[-j] = invert(table[j])
     relators = tuple(
-        _join((u_i, substitute(r_i, images))) for u_i, r_i in zip(u.relators, r.relators)
+        _join((u_i, *map(table.__getitem__, r_i))) for u_i, r_i in zip(u.relators, r.relators)
     )
-    return ArtinPresentation(u.n, relators)
+    return _from_reduced(u.n, relators)
 
 
 def exponent_matrix(n: int, relators: Sequence[Word]) -> ExponentMatrix:
-    """Exponent-sum matrix of any candidate presentation (no Artin check)."""
+    """Exponent-sum matrix of any candidate presentation (no Artin check):
+    entry (i, j) is exponent_sum(relators[j], i), read from one count of
+    each relator's letters."""
     if len(relators) != n:
         raise ValueError(f"expected {n} relators, got {len(relators)}")
+    counts = [Counter(relator) for relator in relators]
     return ExponentMatrix(
-        tuple(
-            tuple(exponent_sum(relators[j], i) for j in range(n))
-            for i in range(1, n + 1)
-        )
+        tuple(tuple(c[i] - c[-i] for c in counts) for i in range(1, n + 1))
     )
 
 
@@ -245,8 +271,8 @@ def _smith_diagonal(entries: tuple[tuple[int, ...], ...]) -> list[int]:
     return diagonal
 
 
-_HEADER = re.compile(r"artin\s+(\d+)")
-_RELATOR_LINE = re.compile(r"r(\d+)\s*=\s*(.+)")
+_HEADER = re.compile(r"artin\s+0*(\d+)")
+_RELATOR_LINE = re.compile(r"r0*(\d+)\s*=\s*(.+)")
 
 
 def parse_presentation(text: str) -> tuple[int, tuple[Word, ...]]:
@@ -254,7 +280,9 @@ def parse_presentation(text: str) -> tuple[int, tuple[Word, ...]]:
 
     Line 1 is ``artin <n>``; the following n lines are ``r<i> = <word>`` in
     order.  Relators are re-reduced on parse.  No Artin check is performed,
-    so the result can feed artin_defect directly.
+    so the result can feed artin_defect directly.  Numbers are read as
+    words.parse_runs reads them: n beyond MAX_EXPONENT is a ParseError, and
+    a label is matched digit for digit, so no string reaches int() whole.
     """
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
@@ -262,13 +290,15 @@ def parse_presentation(text: str) -> tuple[int, tuple[Word, ...]]:
     header = _HEADER.fullmatch(lines[0])
     if header is None:
         raise ParseError(f"expected 'artin <n>' header, got {lines[0]!r}")
-    n = int(header.group(1))
+    n = _bounded(header.group(1))
+    if n is None:
+        raise ParseError(f"generator count beyond {MAX_EXPONENT} in 'artin <n>' header")
     if len(lines) - 1 != n:
         raise ParseError(f"expected {n} relator lines after the header, got {len(lines) - 1}")
     relators = []
     for i, line in enumerate(lines[1:], start=1):
         match = _RELATOR_LINE.fullmatch(line)
-        if match is None or int(match.group(1)) != i:
+        if match is None or match.group(1) != str(i):
             raise ParseError(f"expected 'r{i} = <word>', got {line!r}")
         word = parse_word(match.group(2))
         if max_generator(word) > n:

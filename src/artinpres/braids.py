@@ -26,10 +26,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .artin import ArtinPresentation
+from .artin import ArtinPresentation, _from_reduced
 from .words import (
+    MAX_EXPONENT,
     ParseError,
     Word,
+    _bounded,
     _conjugator_length,
     _join,
     exponent_sum,
@@ -141,7 +143,9 @@ def braid_to_artin(fp: FramedPureBraid) -> ArtinPresentation:
     With the automorphism writing x_i as g_i x_i g_i^-1, relator i is
     x_i^{k_i} g_i^-1, the power chosen so that the diagonal entry of the
     exponent matrix equals the requested framing.  The generator power is
-    applied after extraction, never folded into the conjugator.
+    applied after extraction, never folded into the conjugator.  Each
+    relator is a join of reduced words in x_1 .. x_n, so only the Artin
+    check runs on the result.
     """
     images = generator_images(fp.braid)
     relators = []
@@ -152,7 +156,7 @@ def braid_to_artin(fp: FramedPureBraid) -> ArtinPresentation:
         tail = invert(conjugator)
         power = fp.framings[i - 1] - exponent_sum(tail, i)
         relators.append(_join((generator_power(i, power), tail)))
-    return ArtinPresentation(fp.n, tuple(relators))
+    return _from_reduced(fp.n, tuple(relators))
 
 
 def artin_inverse(fp: FramedPureBraid) -> ArtinPresentation:
@@ -166,7 +170,7 @@ def artin_inverse(fp: FramedPureBraid) -> ArtinPresentation:
 
 
 _BRAID_TEXT = re.compile(
-    r"braid\s+(\d+)\s*:\s*(.*?)\s*;\s*framings\s*=\s*(.*)", re.DOTALL
+    r"braid\s+0*(\d+)\s*:\s*(.*?)\s*;\s*framings\s*=\s*(.*)", re.DOTALL
 )
 
 
@@ -174,13 +178,16 @@ def parse_braid(text: str) -> FramedPureBraid:
     """Parse ``braid <n> : <tokens> ; framings = <f1>,...,<fn>``.
 
     Tokens are ``s<k>`` or ``s<k>^<e>``; the token list may be empty for the
-    identity braid.  Syntax problems raise ParseError; a well-formed but
-    non-pure braid raises ValueError.
+    identity braid.  Syntax problems, and a strand count beyond
+    MAX_EXPONENT, raise ParseError; a well-formed but non-pure braid raises
+    ValueError.
     """
     match = _BRAID_TEXT.fullmatch(text.strip())
     if match is None:
         raise ParseError("expected 'braid <n> : <tokens> ; framings = <list>'")
-    n = int(match.group(1))
+    n = _bounded(match.group(1))
+    if n is None:
+        raise ParseError(f"strand count beyond {MAX_EXPONENT} in 'braid <n>' header")
     message = f"crossing index must be in 1..{n - 1} in token {{token!r}}"
     letters = parse_runs(match.group(2).split(), "s", "braid", lambda k: 1 <= k < n, message)
     framings_text = match.group(3).strip()

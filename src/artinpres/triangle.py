@@ -194,6 +194,8 @@ def _power(word: Word, exponent: int) -> Word:
     cyclically reduced, it is u v^exponent u^-1, built without cancelling."""
     if exponent < 0:
         word, exponent = invert(word), -exponent
+    if exponent == 1:
+        return word
     if not word or not exponent:
         return ()
     k = _conjugator_length(word)

@@ -11,7 +11,7 @@ law: the family is a copy of Z^3.
 
 from __future__ import annotations
 
-from .artin import ArtinPresentation
+from .artin import ArtinPresentation, _from_reduced
 from .words import ParseError, Word, _join, generator_power
 
 Tuple3 = tuple[int, int, int]
@@ -34,8 +34,9 @@ def _relators(t: Tuple3) -> tuple[Word, Word]:
 
 
 def build_r2(t: Tuple3) -> ArtinPresentation:
-    """Presentation with relators x1^(a-c)(x1x2)^c and x2^(b-c)(x1x2)^c."""
-    return ArtinPresentation(2, _relators(t))
+    """Presentation with relators x1^(a-c)(x1x2)^c and x2^(b-c)(x1x2)^c,
+    which are reduced, so only the Artin check runs on them."""
+    return _from_reduced(2, _relators(t))
 
 
 def recognize_r2(p: ArtinPresentation) -> Tuple3:

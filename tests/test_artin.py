@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from artinpres.artin import (
     ArtinPresentation,
     ExponentMatrix,
+    _from_reduced,
     _smith_diagonal,
     abelianization_invariants,
     artin_defect,
@@ -25,6 +26,7 @@ from artinpres.words import (
     ParseError,
     concat,
     conjugate,
+    exponent_sum,
     free_reduce,
     invert,
     max_generator,
@@ -183,6 +185,49 @@ class TestAgainstConcatReference:
             assert concat_compose(u, r) == ((),) * n
 
 
+@st.composite
+def composable_presentations(draw):
+    """braid_to_artin outputs of rank 2-5, each replaced, with probability
+    one half, by its composition with another one, so that composed results
+    are composed again."""
+    from artinpres.braids import braid_to_artin
+
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(2, 5))
+
+    def draw_one():
+        p = braid_to_artin(random_framed_pure_braid(rng, n, max_letters=12))
+        if draw(st.booleans()):
+            p = compose(p, braid_to_artin(random_framed_pure_braid(rng, n, max_letters=12)))
+        return p
+
+    return draw_one(), draw_one()
+
+
+class TestComposeOnOneTable:
+    @settings(max_examples=100, deadline=None)
+    @given(composable_presentations())
+    def test_matches_concat_reference(self, pair):
+        u, r = pair
+        c = compose(u, r)
+        assert c.relators == concat_compose(u, r)
+        # compose skips the constructor's reduction, which must then have
+        # nothing to do
+        assert ArtinPresentation(c.n, c.relators) == c
+        for relator in c.relators:
+            assert free_reduce(relator) == relator
+            assert max_generator(relator) <= c.n
+
+    def test_from_reduced_rejects_non_artin_like_the_constructor(self):
+        for relators in (((1,), (1,)), ((2,), (1,)), ((1, 2), (1,))):
+            with pytest.raises(ValueError) as public:
+                ArtinPresentation(2, relators)
+            with pytest.raises(ValueError) as private:
+                _from_reduced(2, relators)
+            assert str(private.value) == str(public.value)
+            assert str(public.value).startswith("relators do not satisfy the Artin identity")
+
+
 class TestIsArtin:
     def test_canonical_family_member(self):
         p = build_r2((-1, -3, 2))
@@ -283,6 +328,27 @@ class TestExponentMatrix:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             ExponentMatrix(((1, 2),))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.lists(st.integers(-n - 2, n + 2).filter(bool), max_size=16).map(tuple),
+                    min_size=n,
+                    max_size=n,
+                ),
+            )
+        )
+    )
+    def test_exponent_sum_definition_on_any_candidate(self, candidate):
+        # unreduced words, and letters beyond x_n, which are not counted
+        n, relators = candidate
+        expected = tuple(
+            tuple(exponent_sum(relators[j], i) for j in range(n)) for i in range(1, n + 1)
+        )
+        assert exponent_matrix(n, relators).entries == expected
 
 
 class TestDeterminantAndUnimodularity:
@@ -445,3 +511,22 @@ class TestPresentationText:
     def test_misnumbered_relator(self):
         with pytest.raises(ParseError):
             parse_presentation("artin 2\nr1 = x1\nr3 = x2")
+
+    def test_zero_padded_header_and_labels(self):
+        text = "artin 002\nr01 = x1\nr" + "0" * 5000 + "2 = x2"
+        assert parse_presentation(text) == (2, ((1,), (2,)))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # more digits than int() converts by default (4,300)
+            ("artin " + "7" * 5000 + "\nr1 = x1", "generator count beyond 1000000 in 'artin <n>' header"),
+            ("artin 1000001\nr1 = x1", "generator count beyond 1000000 in 'artin <n>' header"),
+            ("artin 1\nr" + "7" * 5000 + " = x1", "expected 'r1 = <word>', got 'r" + "7" * 5000 + " = x1'"),
+            ("artin 1\nr0 = x1", "expected 'r1 = <word>', got 'r0 = x1'"),
+        ],
+    )
+    def test_huge_numbers_are_parse_errors(self, text, message):
+        with pytest.raises(ParseError) as caught:
+            parse_presentation(text)
+        assert str(caught.value) == message

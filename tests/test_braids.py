@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from artinpres.artin import compose, identity_presentation
+from artinpres.artin import ArtinPresentation, compose, identity_presentation
 from artinpres.braids import (
     BraidWord,
     FramedPureBraid,
@@ -18,7 +18,15 @@ from artinpres.braids import (
     parse_braid,
 )
 from artinpres.twogen import build_r2
-from artinpres.words import ParseError, concat, exponent_sum, free_reduce, invert, substitute
+from artinpres.words import (
+    ParseError,
+    concat,
+    exponent_sum,
+    free_reduce,
+    invert,
+    max_generator,
+    substitute,
+)
 
 from conftest import random_framed_pure_braid
 
@@ -189,6 +197,19 @@ class TestBraidToArtin:
                 braid_to_artin(fp1), braid_to_artin(fp2)
             )
 
+    @given(st.integers(0, 2**32), st.integers(2, 5))
+    def test_relators_reduced_in_range_and_public(self, seed, n):
+        # braid_to_artin and build_r2 skip the constructor's reduction, which
+        # must then have nothing to do
+        rng = random.Random(seed)
+        t = tuple(rng.randint(-8, 8) for _ in range(3))
+        fp = random_framed_pure_braid(rng, n)
+        for p in (braid_to_artin(fp), artin_inverse(fp), build_r2(t)):
+            assert ArtinPresentation(p.n, p.relators) == p
+            for relator in p.relators:
+                assert free_reduce(relator) == relator
+                assert max_generator(relator) <= p.n
+
 
 class TestArtinInverse:
     def test_identity_braid_power(self):
@@ -276,6 +297,14 @@ class TestBraidText:
                 "braid 2 : s" + "7" * 5000 + " ; framings = 0,0",
                 f"index beyond 1000000 in braid token 's{'7' * 5000}' at position 1",
             ),
+            (
+                "braid " + "7" * 5000 + " : s1 ; framings = 0",
+                "strand count beyond 1000000 in 'braid <n>' header",
+            ),
+            (
+                "braid 1000001 : s1 ; framings = 0",
+                "strand count beyond 1000000 in 'braid <n>' header",
+            ),
         ],
     )
     def test_parse_error_text(self, text, message):
@@ -286,6 +315,7 @@ class TestBraidText:
     def test_zero_padded_numbers(self):
         fp = parse_braid("braid 2 : s01^0002 s1^" + "0" * 5000 + "2 ; framings = 0,0")
         assert fp.braid.letters == (1,) * 4
+        assert parse_braid("braid " + "0" * 5000 + "2 : s1^2 ; framings = 0,0").n == 2
 
     def test_round_trip_long_runs(self):
         fp = FramedPureBraid(BraidWord(3, (1,) * 12 + (-2,) * 6 + (2, 1, 1, -2)), (0, 1, -1))

@@ -269,6 +269,23 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err == f"error: {kind} beyond 1000000 in word token '{relator}' at position 1\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("artin " + "7" * 5000 + "\nr1 = x1\n", "generator count beyond 1000000 in 'artin <n>' header"),
+            ("artin 1\nr" + "7" * 5000 + " = x1\n", "expected 'r1 = <word>', got 'r" + "7" * 5000 + " = x1'"),
+        ],
+    )
+    def test_huge_header_or_label_in_file(self, capsys, write, text, message):
+        code, out, err = run(capsys, "coset", write("p.txt", text))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_huge_strand_count_in_braid_file(self, capsys, write):
+        text = "braid " + "7" * 5000 + " : s1 ; framings = 0\n"
+        code, out, err = run(capsys, "braid2artin", write("b.txt", text))
+        assert (code, out) == (2, "")
+        assert err == "error: strand count beyond 1000000 in 'braid <n>' header\n"
+
     def test_zero_padded_exponent_in_file(self, capsys, write):
         code, out, _ = run(capsys, "coset", write("p.txt", "artin 1\nr1 = x1^" + "0" * 5000 + "1\n"))
         assert (code, out) == (0, "order=1 cosets=1\n")
