@@ -271,8 +271,8 @@ def _smith_diagonal(entries: tuple[tuple[int, ...], ...]) -> list[int]:
     return diagonal
 
 
-_HEADER = re.compile(r"artin\s+0*(\d+)")
-_RELATOR_LINE = re.compile(r"r0*(\d+)\s*=\s*(.+)")
+_HEADER = re.compile(r"artin\s+0*(\d+)", re.ASCII)
+_RELATOR_LINE = re.compile(r"r0*(\d+)\s*=\s*(.+)", re.ASCII)
 
 
 def parse_presentation(text: str) -> tuple[int, tuple[Word, ...]]:

@@ -33,6 +33,7 @@ from .words import (
     Word,
     _bounded,
     _conjugator_length,
+    _integer,
     _join,
     exponent_sum,
     format_runs,
@@ -170,7 +171,7 @@ def artin_inverse(fp: FramedPureBraid) -> ArtinPresentation:
 
 
 _BRAID_TEXT = re.compile(
-    r"braid\s+0*(\d+)\s*:\s*(.*?)\s*;\s*framings\s*=\s*(.*)", re.DOTALL
+    r"braid\s+0*(\d+)\s*:\s*(.*?)\s*;\s*framings\s*=\s*(.*)", re.DOTALL | re.ASCII
 )
 
 
@@ -191,13 +192,10 @@ def parse_braid(text: str) -> FramedPureBraid:
     message = f"crossing index must be in 1..{n - 1} in token {{token!r}}"
     letters = parse_runs(match.group(2).split(), "s", "braid", lambda k: 1 <= k < n, message)
     framings_text = match.group(3).strip()
-    if framings_text:
-        try:
-            framings = tuple(int(part) for part in framings_text.split(","))
-        except ValueError:
-            raise ParseError(f"bad framings list {framings_text!r}") from None
-    else:
-        framings = ()
+    try:
+        framings = tuple(map(_integer, framings_text.split(","))) if framings_text else ()
+    except ValueError:
+        raise ParseError(f"bad framings list {framings_text!r}") from None
     if len(framings) != n:
         raise ParseError(f"expected {n} framings, got {len(framings)}")
     return FramedPureBraid(BraidWord(n, letters), framings)

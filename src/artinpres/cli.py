@@ -44,13 +44,8 @@ def _read_input(path: str) -> str:
 
 
 def _format_path(path: MovePath) -> str:
-    def tup(t):
-        return f"({t[0]},{t[1]},{t[2]})"
-
-    parts = [tup(path.start)]
-    for step in path.steps:
-        parts.append(f"->{step.move}->{tup(step.result)}")
-    return "".join(parts)
+    moves = (f"->{step.move}->({format_tuple3(step.result)})" for step in path.steps)
+    return f"({format_tuple3(path.start)})" + "".join(moves)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -102,13 +97,10 @@ def _cmd_tuple(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     t = parse_tuple3(args.tuple)
-    family = trivial_family(t)
-    if family is None:
-        raise ValueError(f"{format_tuple3(t)} is outside the trivial-group families")
     manifold, path = classify_x4_with_path(t)
     inv = form_invariants(t)
     print(
-        f"family={family.value} det={inv.det} signature={inv.signature} "
+        f"family={trivial_family(t).value} det={inv.det} signature={inv.signature} "
         f"parity={inv.parity.value} X4={manifold.value} path={_format_path(path)}"
     )
     return 0
@@ -116,9 +108,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_enum_trivial(args: argparse.Namespace) -> int:
     for t in enumerate_trivial(args.bound):
-        family = trivial_family(t)
         manifold, _ = classify_x4_with_path(t)
-        print(f"{format_tuple3(t)} family={family.value} X4={manifold.value}")
+        print(f"{format_tuple3(t)} family={trivial_family(t).value} X4={manifold.value}")
     return 0
 
 

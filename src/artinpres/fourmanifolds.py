@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .twogen import Tuple3, tuple_neg
+from .triangle import _is_trivial
+from .twogen import Tuple3, format_tuple3, tuple_neg
 
 
 def slide1(t: Tuple3) -> Tuple3:
@@ -66,55 +67,43 @@ class Family(Enum):
     T5 = "T5"
 
 
-_T1 = {(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0)}
-_T2 = {
-    (2, 1, 1), (2, 1, -1), (-2, -1, -1), (-2, -1, 1),
-    (1, 2, 1), (1, 2, -1), (-1, -2, -1), (-1, -2, 1),
-}
-_T3 = {
-    (1, 5, 2), (-1, -5, -2), (5, 1, 2), (-5, -1, -2),
-    (2, 5, 3), (-2, -5, -3), (5, 2, 3), (-5, -2, -3),
-}
-
-
 def trivial_family(t: Tuple3) -> Family | None:
-    """First family containing the triple, or None.
+    """First family containing the triple, or None when r(a, b, c) is not
+    trivial, which triangle._is_trivial decides.
 
     T1: (+-1, +-1, 0).  T2: +-(2, 1, +-1) and +-(1, 2, +-1).
     T3: +-(1, 5, 2), +-(5, 1, 2), +-(2, 5, 3), +-(5, 2, 3).
     T4: (a, 0, +-1) and (0, b, +-1).  T5: (c + 1, c - 1, c) and
-    (c - 1, c + 1, c).  Families overlap; membership is literal.
+    (c - 1, c + 1, c).  On a trivial triple, c = 0 forces ab = +-1 (T1);
+    |c| = 1 gives ab = 2 (T2) or 0 (T4, ahead of T5); for |c| >= 2,
+    a = c + e with e = +-1 (a = c is impossible) gives b = c - e (T5) or
+    (c + e) | 2, the eight T3 triples, and likewise with b for a.
     """
+    if not _is_trivial(t):
+        return None
     a, b, c = t
-    if t in _T1:
+    if c == 0:
         return Family.T1
-    if t in _T2:
-        return Family.T2
-    if t in _T3:
-        return Family.T3
-    if abs(c) == 1 and (a == 0 or b == 0):
-        return Family.T4
-    if (a == c + 1 and b == c - 1) or (a == c - 1 and b == c + 1):
-        return Family.T5
-    return None
+    if abs(c) == 1:
+        return Family.T2 if a * b == 2 else Family.T4
+    return Family.T5 if a + b == 2 * c else Family.T3
 
 
 def enumerate_trivial(bound: int) -> list[Tuple3]:
     """All family members with max(|a|, |b|, |c|) <= bound, deduplicated
-    across overlapping families and sorted lexicographically."""
+    across overlapping families and sorted lexicographically.  Candidates
+    come from the rule in O(bound): every a when |c| <= 1, else a within 1
+    of c; b solves ab = c^2 +- 1 (any b when a = 0); each accepted triple
+    brings its swap (b, a, c), which covers |b - c| <= 1."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    span = range(-bound, bound + 1)
     found: set[Tuple3] = set()
-    for t in _T1 | _T2 | _T3:
-        if max(abs(t[0]), abs(t[1]), abs(t[2])) <= bound:
-            found.add(t)
-    for v in range(-bound, bound + 1):
-        for c in (1, -1):
-            found.add((v, 0, c))
-            found.add((0, v, c))
-    for c in range(-(bound - 1), bound):
-        found.add((c + 1, c - 1, c))
-        found.add((c - 1, c + 1, c))
+    for c in span:
+        for a in span if abs(c) <= 1 else (c - 1, c, c + 1):
+            for b in span if a == 0 else [n // a for n in (c * c - 1, c * c + 1) if n % a == 0]:
+                if max(abs(a), abs(b)) <= bound and _is_trivial((a, b, c)):
+                    found.update(((a, b, c), (b, a, c)))
     return sorted(found)
 
 
@@ -258,11 +247,12 @@ def classify_x4_with_path(t: Tuple3) -> tuple[FourManifold, MovePath]:
 
     The move-based answer is cross-checked against the invariant rule
     (signature and parity of the intersection form); a disagreement would
-    be an internal bug and raises RuntimeError.  Triples outside the
-    trivial-group families raise ValueError.
+    be an internal bug and raises RuntimeError.  A triple that is not
+    trivial raises ValueError("a,b,c is outside the trivial-group
+    families"), the text the classify command prints.
     """
-    if trivial_family(t) is None:
-        raise ValueError(f"{t} does not present the trivial group")
+    if not _is_trivial(t):
+        raise ValueError(f"{format_tuple3(t)} is outside the trivial-group families")
     path = reduce_to_base(t)
     by_moves = _base_class(path.final)
     if path.orientation_reversed:

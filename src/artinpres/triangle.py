@@ -130,9 +130,17 @@ def _other_output(k: int) -> CertificateStep:
     return ("X1", (("Y", 1), ("X2", -1)))
 
 
+def _is_trivial(t: Tuple3) -> bool:
+    """The library's one triviality decision, the paper's main theorem:
+    r(a, b, c) is trivial exactly when |ab - c^2| = 1 and
+    min(|a-c|, |b-c|, |c|) <= 1, the families T1-T5."""
+    a, b, c = t
+    return abs(a * b - c * c) == 1 and min(abs(a - c), abs(b - c), abs(c)) <= 1
+
+
 def triviality_certificate(t: Tuple3) -> TrivialityCertificate | None:
-    """A straight-line program proving r(a, b, c) trivial, or None when
-    |ab - c^2| != 1 or min(|a-c|, |b-c|, |c|) >= 2.
+    """A straight-line program proving r(a, b, c) trivial, or None exactly
+    when _is_trivial(t) is false.
 
     With y = x1 x2, p = a - c and q = b - c the relators are r1 = x1^p y^c
     and r2 = x2^q y^c.  Each case isolates one element from a relator
@@ -143,11 +151,11 @@ def triviality_certificate(t: Tuple3) -> TrivialityCertificate | None:
     steps run with x1 in place of y.  Every step has a few factors, so
     check_certificate runs in O(|a| + |b| + |c|) letters.
     """
+    if not _is_trivial(t):
+        return None
     a, b, c = t
     det = a * b - c * c
     p, q = a - c, b - c
-    if abs(det) != 1 or min(abs(p), abs(q), abs(c)) > 1:
-        return None
     if c == 0:  # |p| = |q| = 1
         return (("X1", (("r1", p),)), ("X2", (("r2", q),)))
     if p == 0 or q == 0:  # det = cq or cp, so |c| = 1 and the other is +-1
@@ -240,20 +248,18 @@ class TrivialityResult:
 def triviality_status(t: Tuple3) -> TrivialityResult:
     """Whether r(a, b, c) presents the trivial group, decided from the triple.
 
-    The paper's main theorem: r(a, b, c) is trivial exactly when
-    |ab - c^2| = 1 and min(|a-c|, |b-c|, |c|) <= 1, the families T1-T5.
-    Otherwise the verdict is NONTRIVIAL with reason "abelianization" when
-    ab - c^2 != +-1, or "triangle-quotient" when the group maps onto
+    _is_trivial decides.  A NONTRIVIAL verdict has reason "abelianization"
+    when ab - c^2 != +-1, else "triangle-quotient": |a-c|, |b-c| and |c|
+    are then all at least 2, and triangle_verdict certifies the map onto
     T(|a-c|, |b-c|, |c|).  A TRIVIAL verdict carries the certificate of
-    triviality_certificate, and check_certificate has passed on it; a
-    certificate that fails raises RuntimeError.  No presentation is built
-    and no coset is enumerated.
+    triviality_certificate, checked by check_certificate; a missing or
+    failed certificate raises RuntimeError.  No presentation is built and
+    no coset is enumerated.
     """
-    a, b, c = t
-    if abs(a * b - c * c) != 1:
-        return TrivialityResult(Triviality.NONTRIVIAL, "abelianization")
-    if triangle_verdict(t) is not TriangleVerdict.INCONCLUSIVE:
-        return TrivialityResult(Triviality.NONTRIVIAL, "triangle-quotient")
+    if not _is_trivial(t):
+        a, b, c = t
+        reason = "abelianization" if abs(a * b - c * c) != 1 else "triangle-quotient"
+        return TrivialityResult(Triviality.NONTRIVIAL, reason)
     certificate = triviality_certificate(t)
     if certificate is None or not check_certificate(t, certificate):
         raise RuntimeError(f"the triviality certificate of r{t} failed its check")

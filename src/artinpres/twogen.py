@@ -12,7 +12,7 @@ law: the family is a copy of Z^3.
 from __future__ import annotations
 
 from .artin import ArtinPresentation, _from_reduced
-from .words import ParseError, Word, _join, generator_power
+from .words import ParseError, Word, _integer, _join, generator_power
 
 Tuple3 = tuple[int, int, int]
 
@@ -65,12 +65,10 @@ def tuple_neg(t: Tuple3) -> Tuple3:
 
 
 def parse_tuple3(text: str) -> Tuple3:
-    """Parse ``a,b,c`` (comma-separated integers)."""
-    parts = text.strip().split(",")
-    if len(parts) != 3:
-        raise ParseError(f"expected three comma-separated integers, got {text!r}")
+    """Parse ``a,b,c``: three comma-separated ASCII integers ``[+-]?[0-9]+``,
+    each with optional surrounding whitespace."""
     try:
-        a, b, c = (int(part) for part in parts)
+        a, b, c = map(_integer, text.split(","))
     except ValueError:
         raise ParseError(f"expected three comma-separated integers, got {text!r}") from None
     return (a, b, c)

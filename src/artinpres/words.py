@@ -174,7 +174,7 @@ def parse_runs(
     too.  Leading zeros are dropped and the remaining digits counted before
     int() sees them, so no token is too long for int() to convert.
     """
-    pattern = re.compile(rf"{symbol}0*(\d+)(?:\^(-?)0*(\d+))?")
+    pattern = re.compile(rf"{symbol}0*(\d+)(?:\^(-?)0*(\d+))?", re.ASCII)
     memo: dict[str | None, Word] = {identity: ()}
     beyond = f"beyond {MAX_EXPONENT} in {kind} token {{token!r}} at position {{position}}"
     for token in dict.fromkeys(tokens):
@@ -202,6 +202,17 @@ def _bounded(digits: str) -> int | None:
     if len(digits) > _MAX_DIGITS or (value := int(digits)) > MAX_EXPONENT:
         return None
     return value
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """int() of an ASCII ``[+-]?[0-9]+`` once stripped; anything else int()
+    takes, such as ``1_0`` or non-ASCII digits, raises ValueError."""
+    if not _INTEGER.fullmatch(text := text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def parse_word(text: str) -> Word:

@@ -512,6 +512,20 @@ class TestPresentationText:
         with pytest.raises(ParseError):
             parse_presentation("artin 2\nr1 = x1\nr3 = x2")
 
+    # an unflagged \d takes non-ASCII digits; the grammar does not
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("artin \u0661\nr1 = x1", "expected 'artin <n>' header, got 'artin \u0661'"),
+            ("artin 1\nr\u0661 = x1", "expected 'r1 = <word>', got 'r\u0661 = x1'"),
+            ("artin 1\nr1 = x\u0661", "bad word token 'x\u0661' at position 1"),
+        ],
+    )
+    def test_only_ascii_digits(self, text, message):
+        with pytest.raises(ParseError) as caught:
+            parse_presentation(text)
+        assert str(caught.value) == message
+
     def test_zero_padded_header_and_labels(self):
         text = "artin 002\nr01 = x1\nr" + "0" * 5000 + "2 = x2"
         assert parse_presentation(text) == (2, ((1,), (2,)))

@@ -305,12 +305,20 @@ class TestBraidText:
                 "braid 1000001 : s1 ; framings = 0",
                 "strand count beyond 1000000 in 'braid <n>' header",
             ),
+            # int() and an unflagged \d take these; the grammar is ASCII
+            ("braid 2 : ; framings = 1_0,5", "bad framings list '1_0,5'"),
+            ("braid 2 : ; framings = 1,\u0665", "bad framings list '1,\u0665'"),
+            ("braid \u0662 : ; framings = 1,1", "expected 'braid <n> : <tokens> ; framings = <list>'"),
+            ("braid 2 : s\u0661^2 ; framings = 1,1", "bad braid token 's\u0661^2' at position 1"),
         ],
     )
     def test_parse_error_text(self, text, message):
         with pytest.raises(ParseError) as caught:
             parse_braid(text)
         assert str(caught.value) == message
+
+    def test_framings_take_signs_and_spaces(self):
+        assert parse_braid("braid 2 : ; framings = +1 , -2").framings == (1, -2)
 
     def test_zero_padded_numbers(self):
         fp = parse_braid("braid 2 : s01^0002 s1^" + "0" * 5000 + "2 ; framings = 0,0")

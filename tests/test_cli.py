@@ -173,9 +173,16 @@ class TestClassify:
         assert "X4=mCP2#mCP2" in out
 
     def test_outside_family_is_domain_error(self, capsys):
-        code, _, err = run(capsys, "classify", "2,3,5")
-        assert code == 1
-        assert "trivial-group" in err
+        code, out, err = run(capsys, "classify", "2,3,5")
+        assert (code, out) == (1, "")
+        assert err == "error: 2,3,5 is outside the trivial-group families\n"
+
+    # int() takes 1_0 and non-ASCII digits; a part must be ASCII [+-]?[0-9]+
+    @pytest.mark.parametrize("triple", ["1_0,0,1", "\u0665,0,1"])
+    def test_integer_grammar_is_parse_error(self, capsys, triple):
+        code, out, err = run(capsys, "classify", triple)
+        assert (code, out) == (2, "")
+        assert err == f"error: expected three comma-separated integers, got {triple!r}\n"
 
     def test_runtime_error_is_one_line_domain_error(self, capsys, monkeypatch):
         def fail(args):
@@ -206,6 +213,11 @@ class TestEnumTrivial:
         assert lines == sorted(lines, key=lambda line: tuple(
             int(part) for part in line.split()[0].split(",")
         ))
+
+    def test_bound_six_matches_golden(self, capsys):
+        code, out, err = run(capsys, "enum-trivial", "--bound", "6")
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "enum_trivial_6.expected").read_text()
 
 
 class TestCoset:

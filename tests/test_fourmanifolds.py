@@ -69,6 +69,46 @@ class TestMoves:
             assert mirrored.signature == -inv.signature
 
 
+# Reference: the paper's families T1-T5 listed literally, first match wins.
+# It does not use the closed-form rule that trivial_family names them by.
+
+REFERENCE_T1 = {(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0)}
+REFERENCE_T2 = {
+    (2, 1, 1), (2, 1, -1), (-2, -1, -1), (-2, -1, 1),
+    (1, 2, 1), (1, 2, -1), (-1, -2, -1), (-1, -2, 1),
+}
+REFERENCE_T3 = {
+    (1, 5, 2), (-1, -5, -2), (5, 1, 2), (-5, -1, -2),
+    (2, 5, 3), (-2, -5, -3), (5, 2, 3), (-5, -2, -3),
+}
+
+
+def reference_family(t):
+    a, b, c = t
+    if t in REFERENCE_T1:
+        return Family.T1
+    if t in REFERENCE_T2:
+        return Family.T2
+    if t in REFERENCE_T3:
+        return Family.T3
+    if abs(c) == 1 and (a == 0 or b == 0):
+        return Family.T4
+    if (a == c + 1 and b == c - 1) or (a == c - 1 and b == c + 1):
+        return Family.T5
+    return None
+
+
+def reference_enumerate(bound):
+    """The members of each listed family in the box, sorted."""
+    found = {t for t in REFERENCE_T1 | REFERENCE_T2 | REFERENCE_T3 if max(map(abs, t)) <= bound}
+    for v in range(-bound, bound + 1):
+        for c in (1, -1):
+            found.update({(v, 0, c), (0, v, c)})
+    for c in range(-(bound - 1), bound):
+        found.update({(c + 1, c - 1, c), (c - 1, c + 1, c)})
+    return sorted(found)
+
+
 class TestFamilies:
     def test_examples(self):
         assert trivial_family((1, 5, 2)) is Family.T3
@@ -85,6 +125,14 @@ class TestFamilies:
         for t in [(2, 1, -1), (5, 2, 3), (9, 0, 1), (6, 4, 5), (1, 1, 0)]:
             assert trivial_family(t) is not None
             assert trivial_family(tuple_neg(t)) is not None
+
+    def test_matches_reference_up_to_25(self):
+        for t in product(range(-25, 26), repeat=3):
+            assert trivial_family(t) is reference_family(t), t
+
+    @given(large_members(st.integers(-(10**12), 10**12)))
+    def test_matches_reference_on_large_members(self, t):
+        assert trivial_family(t) is reference_family(t) is not None
 
 
 class TestEnumerateTrivial:
@@ -140,6 +188,10 @@ class TestEnumerateTrivial:
     def test_bound_validated(self):
         with pytest.raises(ValueError):
             enumerate_trivial(0)
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 5, 8, 12, 50, 100, 300])
+    def test_matches_reference(self, bound):
+        assert enumerate_trivial(bound) == reference_enumerate(bound)
 
 
 class TestFormInvariants:

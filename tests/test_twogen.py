@@ -130,11 +130,15 @@ class TestTupleText:
 
     def test_parse_with_spaces(self):
         assert parse_tuple3(" 5,2,3 ") == (5, 2, 3)
+        assert parse_tuple3(" +5 , -2,3\t") == (5, -2, 3)
 
     def test_format(self):
         assert format_tuple3((-1, -3, 2)) == "-1,-3,2"
 
-    @pytest.mark.parametrize("bad", ["1,2", "1,2,3,4", "a,b,c", ""])
+    # int() takes 1_0 and non-ASCII digits; a part must be ASCII [+-]?[0-9]+
+    @pytest.mark.parametrize(
+        "bad", ["1,2", "1,2,3,4", "a,b,c", "", "1_0,0,1", "\u0665,0,1", "1,0,\uff11", "1,+-2,3"]
+    )
     def test_bad_input(self, bad):
         with pytest.raises(ParseError):
             parse_tuple3(bad)

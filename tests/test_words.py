@@ -353,6 +353,10 @@ class TestAgainstNaiveReference:
                 "x1 x2 x" + "7" * 5000,
                 f"index beyond 1000000 in word token 'x{'7' * 5000}' at position 3",
             ),
+            # an unflagged \d takes non-ASCII digits; the grammar does not
+            ("x\u0665", "bad word token 'x\u0665' at position 1"),
+            ("x1 x1^\u0662", "bad word token 'x1^\u0662' at position 2"),
+            ("x1^-\uff13", "bad word token 'x1^-\uff13' at position 1"),
         ],
     )
     def test_parse_error_text(self, text, message):
