@@ -11,7 +11,6 @@ Error text goes to stderr.  File arguments accept ``-`` for stdin.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from typing import Sequence
 
@@ -33,7 +32,7 @@ from .fourmanifolds import (
     trivial_family,
 )
 from .twogen import build_r2, format_tuple3, parse_tuple3, recognize_r2, tuple_add, tuple_neg
-from .words import ParseError, format_word
+from .words import ParseError, _integer, format_word
 
 
 def _read_input(path: str) -> str:
@@ -41,6 +40,14 @@ def _read_input(path: str) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
+
+
+def _int_option(text: str) -> int:
+    """An integer option, read by the ASCII rule of the text grammars."""
+    try:
+        return _integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_as_typed(text)!r}") from None
 
 
 def _format_path(path: MovePath) -> str:
@@ -171,14 +178,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("enum-trivial", help="all trivial-group triples up to a bound")
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_int_option, required=True)
     p.set_defaults(handler=_cmd_enum_trivial)
 
     p = sub.add_parser("coset", help="Todd-Coxeter coset enumeration of a presentation file")
     p.add_argument("file")
-    p.add_argument("--max-cosets", type=int, default=100_000)
+    p.add_argument("--max-cosets", type=_int_option, default=100_000)
     p.add_argument(
         "--strategy",
+        type=_as_typed,
         choices=[s.value for s in Strategy],
         default=Strategy.RELATOR_FIRST.value,
     )
@@ -191,19 +199,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NEGATIVE_TUPLE = re.compile(r"-\d+,-?\d+,-?\d+")
+class _Shielded(str):
+    """An argument that starts with "-" and holds a comma, given a leading
+    space: argparse reads an argument with a space as a positional, and no
+    option of this CLI holds a comma, so a triple like -1,-3,2 is not taken
+    for an option."""
+
+
+def _as_typed(value: object) -> object:
+    """A parsed value as typed: a shielded argument loses its space."""
+    if isinstance(value, list):
+        return list(map(_as_typed, value))
+    return value[1:] if isinstance(value, _Shielded) else value
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a leading space keeps tuples like -1,-3,2 from parsing as option flags
-    argv = [" " + arg if _NEGATIVE_TUPLE.fullmatch(arg) else arg for arg in argv]
+    argv = [_Shielded(" " + arg) if arg.startswith("-") and "," in arg else arg for arg in argv]
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    for name, value in vars(args).copy().items():
+        setattr(args, name, _as_typed(value))
     # validate tuple argument counts up front for uniform usage errors
     if getattr(args, "command", None) == "tuple":
         expected = 2 if args.action == "add" else 1

@@ -14,11 +14,11 @@ cosets, not every coset ever defined, and no coset is renumbered.  The
 merge resolves representatives inline and calls the compressing find only
 for a coset more than one step from its representative.  Each strategy
 makes one scan call per coset it traces, against all the relators that
-apply there.  Relator-first scans most cycles after they have closed, so
-its scans first walk each relator's columns alone and stop there when the
-walk comes back to the coset, or when one period of a proper power leads
-to a coset scanned before; only an open cycle, or one that closes on
-another coset, pays for the full scan.
+apply there.  Both share one scan: one forward walk per relator, and a
+backward walk from the far end only where the forward walk meets an
+undefined entry.  Relator-first scans the cosets in increasing order, so
+its forward walk around a proper power u^m stops after one u when that
+reaches a coset scanned before, whose closed cycle runs through here.
 
 Two deterministic strategies are provided (Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, ch. 5).  RELATOR_FIRST is the
@@ -100,14 +100,10 @@ class Exceeded:
 
 EnumResult = Finite | Exceeded
 
-# A relator compiled for scanning: the table columns of its letters, split
-# after the first period of a proper power (the whole relator is the second
-# part otherwise), for the closing walk; the same columns paired with their
-# indices, read forward; and the column of each letter's inverse, read
-# backward.
-_Compiled = tuple[
-    tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...], tuple[int, ...]
-]
+# A relator compiled for scanning: its letters as (index, column) pairs,
+# split after the first period of a proper power (the second part is empty
+# otherwise), and the column of each letter's inverse, read backward.
+_Compiled = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], tuple[int, ...]]
 
 
 class _BudgetExhausted(Exception):
@@ -256,66 +252,52 @@ class CosetTable:
                     if target >= 0:
                         self.deductions += (mu * n + column, target * n + (column ^ 1))
 
-    def _scan(self, coset: int, relators: list[_Compiled], fill: bool) -> None:
+    def _scan(self, coset: int, relators: list[_Compiled]) -> None:
         """Trace, in order, the cycle each compiled relator forces at a
         coset; returns as soon as the coset dies.
 
-        Walks forward along defined entries, then backward from the far end.
-        A one-letter gap becomes a deduction, a mismatch at the meeting
-        point a coincidence.  With fill=True, wider gaps are bridged by
+        Walks forward along defined entries, then, if the walk meets an
+        undefined entry, backward from the far end.  A one-letter gap
+        becomes a deduction, a mismatch at the meeting point a coincidence.
+        Without a deduction stack (relator-first), wider gaps are bridged by
         defining new cosets, so each scan completes unless the budget runs
-        out.
+        out; Felsch leaves them for a later definition.
 
-        fill=True is relator-first, which scans the cosets in increasing
-        order, once the cycles through them are mostly closed.  There a
-        closing walk over the relator's columns alone goes first, and a
-        cycle it finds closed at the coset needs nothing more.  The walk
-        around a proper power u^m also stops after its first u when it
-        reaches a coset below this one: that coset is live, so it was
-        scanned against the relator, and the cycle that scan closed, which
-        every merge since has kept closed, runs through here.  Only a walk
-        that meets an undefined entry, or closes on another coset, goes on
-        to the full scan, which walks it again counting letters.  Felsch
-        scans the cycles through a fresh entry, most of which are still
-        open, so it starts with the full scan.  Only a merge can kill the
-        coset, so liveness is checked on entry and after each merge.
+        The forward walk around a proper power u^m stops after its first u
+        when it reaches a coset below this one.  Only relator-first splits
+        proper powers that way, and it scans the cosets in increasing order:
+        the coset reached is live, so it was scanned against the relator,
+        and the cycle that scan closed, which every merge since has kept
+        closed, runs through here.  Only a merge can kill the coset, so
+        liveness is checked on entry and after each merge.
         """
         rows, parent, deductions, n = self.rows, self.parent, self.deductions, self.ncols
         if parent[coset] != coset:
             return
-        for head, tail, steps, backward in relators:
-            if fill:
-                # the closing walk: one subscript pair and one compare per
-                # letter; on an undefined entry f is -1
-                f = coset
-                for column in head:
-                    f = rows[f][column]
-                    if f < 0:
-                        break
-                else:
-                    if f < coset:
-                        # the closed cycle of a coset scanned before this
-                        # one runs through here
-                        continue
-                    for column in tail:
-                        f = rows[f][column]
-                        if f < 0:
-                            break
-                if f == coset:
-                    continue
+        for head, tail, backward in relators:
             f = coset
-            for i, column in steps:
+            for i, column in head:
                 nxt = rows[f][column]
                 if nxt < 0:
                     break
                 f = nxt
             else:
-                # the forward walk covered the word; it must end where it began
-                if f != coset:
-                    self.merge(f, coset)
-                    if parent[coset] != coset:
-                        return
-                continue
+                if f < coset and tail:
+                    # one period of a proper power led to a coset scanned
+                    # before this one, whose closed cycle runs through here
+                    continue
+                for i, column in tail:
+                    nxt = rows[f][column]
+                    if nxt < 0:
+                        break
+                    f = nxt
+                else:
+                    # the forward walk covered the word; it must end where it began
+                    if f != coset:
+                        self.merge(f, coset)
+                        if parent[coset] != coset:
+                            return
+                    continue
             b = coset
             j = len(backward) - 1
             while True:
@@ -332,19 +314,18 @@ class CosetTable:
                         if parent[coset] != coset:
                             return
                     break
-                column = steps[i][1]
+                column = backward[i] ^ 1
                 if i == j:
                     rows[f][column] = b
                     rows[b][backward[i]] = f
                     if deductions is not None:
                         deductions += (f * n + column, b * n + backward[i])
                     break
-                if not fill:
+                if deductions is not None:
                     break
-                # the new coset's one entry is the inverse of letter i; fill
-                # is only asked for on freely reduced relators, where letter
-                # i + 1 is not that inverse, so a forward walk could not
-                # leave the new coset
+                # the new coset's one entry is the inverse of letter i; the
+                # relators are freely reduced, so letter i + 1 is not that
+                # inverse, and a forward walk could not leave the new coset
                 f = self._define(f, column)
                 i += 1
 
@@ -372,13 +353,9 @@ class CosetTable:
 
 
 def _compile(word: Word, period: int = 0) -> _Compiled:
-    columns = tuple(map(CosetTable.column, word))
-    return (
-        columns[:period],
-        columns[period:],
-        tuple(enumerate(columns)),
-        tuple(CosetTable.column(-letter) for letter in word),
-    )
+    steps = tuple(enumerate(map(CosetTable.column, word)))
+    period = period or len(steps)
+    return steps[:period], steps[period:], tuple(column ^ 1 for _, column in steps)
 
 
 def _power_period(word: Word) -> int:
@@ -395,7 +372,6 @@ def enumerate_cosets(
     presentation: FinitePresentation,
     max_cosets: int = 100_000,
     strategy: Strategy = Strategy.RELATOR_FIRST,
-    validate: bool = False,
 ) -> EnumResult:
     """Enumerate cosets of the trivial subgroup.
 
@@ -413,24 +389,19 @@ def enumerate_cosets(
     table = CosetTable(presentation.ngens, max_cosets)
     run = _relator_first if strategy is Strategy.RELATOR_FIRST else _definition_first
     try:
-        run(table, relators, validate)
+        run(table, relators)
     except _BudgetExhausted:
         return Exceeded(max_cosets, table.defined, table.peak_live, table.coincidences)
     return Finite(table.live, table.defined, table.peak_live, table.coincidences)
 
 
-def _relator_first(table: CosetTable, relators: tuple[Word, ...], validate: bool) -> None:
+def _relator_first(table: CosetTable, relators: tuple[Word, ...]) -> None:
     compiled = [_compile(r, _power_period(r)) for r in relators]
-    # one scan call per coset; validation checks the table after every relator
-    batches = [[c] for c in compiled] if validate else [compiled]
     rows, parent = table.rows, table.parent
     alpha = 0
     while alpha < table.defined:
         if parent[alpha] == alpha:
-            for batch in batches:
-                table._scan(alpha, batch, True)
-                if validate:
-                    table.check_consistency()
+            table._scan(alpha, compiled)
             # a row is mostly full once scanned, which `in` checks in C
             if parent[alpha] == alpha and -1 in (row := rows[alpha]):
                 for column, target in enumerate(row):
@@ -439,7 +410,7 @@ def _relator_first(table: CosetTable, relators: tuple[Word, ...], validate: bool
         alpha += 1
 
 
-def _definition_first(table: CosetTable, relators: tuple[Word, ...], validate: bool) -> None:
+def _definition_first(table: CosetTable, relators: tuple[Word, ...]) -> None:
     n = table.ncols
     # every distinct cyclic conjugate of each relator, filed under the column
     # of its first letter; entries are pushed both ways, so a cycle through
@@ -460,12 +431,10 @@ def _definition_first(table: CosetTable, relators: tuple[Word, ...], validate: b
     new = 0
     hole = 0
     while True:
-        table._scan(new, short, False)
+        table._scan(new, short)
         while stack:
             coset, column = divmod(stack.pop(), n)
-            table._scan(coset, by_column[column], False)
-        if validate:
-            table.check_consistency()
+            table._scan(coset, by_column[column])
         # rows before the hole are full or released, and live rows only gain
         # entries, so the next hole is never behind this one
         while (row := rows[hole]) is None or -1 not in row:

@@ -132,6 +132,11 @@ class TestTuple:
         code, _, _ = run(capsys, "tuple", "build", "1,2")
         assert code == 2
 
+    def test_bad_tuple_after_dash_is_echoed_as_typed(self, capsys):
+        code, out, err = run(capsys, "tuple", "add", "1,1,1", "-x,0,0")
+        assert (code, out) == (2, "")
+        assert err == "error: expected three comma-separated integers, got '-x,0,0'\n"
+
 
 class TestClassify:
     def test_full_line(self, capsys):
@@ -177,8 +182,11 @@ class TestClassify:
         assert (code, out) == (1, "")
         assert err == "error: 2,3,5 is outside the trivial-group families\n"
 
-    # int() takes 1_0 and non-ASCII digits; a part must be ASCII [+-]?[0-9]+
-    @pytest.mark.parametrize("triple", ["1_0,0,1", "\u0665,0,1"])
+    # int() takes 1_0 and non-ASCII digits; a part must be ASCII [+-]?[0-9]+.
+    # A triple that starts with "-" is echoed as typed, whatever follows.
+    @pytest.mark.parametrize(
+        "triple", ["1_0,0,1", "\u0665,0,1", "-\u0665,0,1", "-" + "7" * 5000 + ",0,1"]
+    )
     def test_integer_grammar_is_parse_error(self, capsys, triple):
         code, out, err = run(capsys, "classify", triple)
         assert (code, out) == (2, "")
@@ -214,6 +222,17 @@ class TestEnumTrivial:
             int(part) for part in line.split()[0].split(",")
         ))
 
+    # the option reads integers by the ASCII rule of the text grammars
+    @pytest.mark.parametrize("bound", ["1_0", "\u0661\u0660", "-1,2"])
+    def test_integer_grammar_is_usage_error(self, capsys, bound):
+        code, out, err = run(capsys, "enum-trivial", "--bound", bound)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --bound: invalid int value: {bound!r}\n")
+
+    def test_bound_below_one_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "enum-trivial", "--bound", "0")
+        assert (code, out, err) == (1, "", "error: bound must be at least 1\n")
+
     def test_bound_six_matches_golden(self, capsys):
         code, out, err = run(capsys, "enum-trivial", "--bound", "6")
         assert (code, err) == (0, "")
@@ -243,6 +262,21 @@ class TestCoset:
         )
         assert code == 0
         assert out == "exceeded=10\n"
+
+    @pytest.mark.parametrize("budget", ["1_0", "\u0661\u0660"])
+    def test_max_cosets_integer_grammar_is_usage_error(self, capsys, write, budget):
+        code, out, err = run(capsys, "coset", write("p.txt", ICOSAHEDRAL), "--max-cosets", budget)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --max-cosets: invalid int value: {budget!r}\n")
+
+    def test_strategy_error_echoes_value_as_typed(self, capsys, write):
+        code, out, err = run(capsys, "coset", write("p.txt", ICOSAHEDRAL), "--strategy", "-1,2,3")
+        assert (code, out) == (2, "")
+        assert "error: argument --strategy: invalid choice: '-1,2,3' (" in err
+
+    def test_max_cosets_below_one_is_domain_error(self, capsys, write):
+        code, out, err = run(capsys, "coset", write("p.txt", ICOSAHEDRAL), "--max-cosets", "0")
+        assert (code, out, err) == (1, "", "error: max_cosets must be at least 1\n")
 
 
 class TestExportKirby:

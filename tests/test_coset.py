@@ -1,3 +1,6 @@
+from operator import mul
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +41,32 @@ def coxeter_symmetric(n):
 
 def presentation_of(t):
     return FinitePresentation(2, build_r2(t).relators)
+
+
+class Checked:
+    """Asserts the table invariant between scans: in relator-first after
+    each relator's scan, in Felsch after each drained deduction stack, so
+    before every definition at a hole and once the table closes."""
+
+    def _scan(self, coset, relators):
+        if self.deductions is None:
+            for relator in relators:
+                super()._scan(coset, [relator])
+                self.check_consistency()
+        else:
+            super()._scan(coset, relators)
+            if not self.deductions:
+                self.check_consistency()
+
+
+class CheckedCosetTable(Checked, CosetTable):
+    pass
+
+
+def checked_enumerate(presentation, max_cosets=100_000, strategy=Strategy.RELATOR_FIRST):
+    """enumerate_cosets on a CheckedCosetTable."""
+    with patch("artinpres.coset.CosetTable", CheckedCosetTable):
+        return enumerate_cosets(presentation, max_cosets, strategy)
 
 
 class TestFinitePresentation:
@@ -82,17 +111,22 @@ class TestKnownOrders:
         assert enumerate_cosets(T333, max_cosets=2000) == Exceeded(2000)
 
     def test_relators_interact(self):
-        # <x | x^6, x^4> has order gcd(6, 4)
-        result = enumerate_cosets(FinitePresentation(1, ((1,) * 6, (1,) * 4)))
-        assert isinstance(result, Finite) and result.order == 2
+        # <x | x^6, x^4> has order gcd(6, 4), <x | x^3, x^2> order 1; under
+        # Felsch each closes through a forward walk that ends on a coset
+        # below the one scanned
+        for strategy in Strategy:
+            for powers, order in (((6, 4), 2), ((3, 2), 1)):
+                presentation = FinitePresentation(1, tuple((1,) * m for m in powers))
+                result = enumerate_cosets(presentation, strategy=strategy)
+                assert isinstance(result, Finite) and result.order == order
 
     def test_quaternion_group(self):
-        result = enumerate_cosets(Q8, validate=True)
+        result = checked_enumerate(Q8)
         assert isinstance(result, Finite) and result.order == 8
 
     def test_coincidence_heavy_trivial_presentation(self):
         for strategy in Strategy:
-            result = enumerate_cosets(COINCIDENT, strategy=strategy, validate=True)
+            result = checked_enumerate(COINCIDENT, strategy=strategy)
             assert isinstance(result, Finite) and result.order == 1
 
 
@@ -169,11 +203,9 @@ class TestBudget:
 
 class TestTableInternals:
     def test_consistency_checked_during_run(self):
-        result = enumerate_cosets(T235, validate=True)
+        result = checked_enumerate(T235)
         assert isinstance(result, Finite) and result.order == 60
-        result = enumerate_cosets(
-            T235, strategy=Strategy.DEFINITION_FIRST, validate=True
-        )
+        result = checked_enumerate(T235, strategy=Strategy.DEFINITION_FIRST)
         assert isinstance(result, Finite) and result.order == 60
 
     def test_column_layout(self):
@@ -472,7 +504,10 @@ NAIVE = {
 def small_presentations(draw):
     ngens = draw(st.integers(1, 3))
     letter = st.integers(-ngens, ngens).filter(bool)
-    relators = draw(st.lists(st.lists(letter, min_size=1, max_size=8), min_size=1, max_size=4))
+    word = st.lists(letter, min_size=1, max_size=8)
+    # proper powers u^m, whose first u relator-first walks on its own
+    power = st.builds(mul, st.lists(letter, min_size=1, max_size=3), st.integers(2, 5))
+    relators = draw(st.lists(st.one_of(word, power), min_size=1, max_size=4))
     return FinitePresentation(ngens, tuple(map(tuple, relators)))
 
 
@@ -501,13 +536,13 @@ class TestAgainstNaiveReference:
     @settings(max_examples=60, deadline=None)
     @given(small_presentations(), st.sampled_from([50, 400]))
     def test_relator_first(self, presentation, budget):
-        result = enumerate_cosets(presentation, budget, Strategy.RELATOR_FIRST, validate=True)
+        result = checked_enumerate(presentation, budget, Strategy.RELATOR_FIRST)
         assert result == naive_relator_first(presentation, budget)
 
     @settings(max_examples=30, deadline=None)
     @given(small_presentations(), st.sampled_from([50, 400]))
     def test_definition_first(self, presentation, budget):
-        result = enumerate_cosets(presentation, budget, Strategy.DEFINITION_FIRST, validate=True)
+        result = checked_enumerate(presentation, budget, Strategy.DEFINITION_FIRST)
         assert result == naive_definition_first(presentation, budget)
 
     # triples on which a Felsch loop that drops a deduction (a one-way push,
@@ -517,13 +552,13 @@ class TestAgainstNaiveReference:
     )
     def test_definition_first_on_r2_triples(self, t):
         presentation = presentation_of(t)
-        result = enumerate_cosets(presentation, 50, Strategy.DEFINITION_FIRST, validate=True)
+        result = checked_enumerate(presentation, 50, Strategy.DEFINITION_FIRST)
         assert result == naive_definition_first(presentation, 50)
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_pinned_presentations(self, strategy):
         for presentation in (T235, PSL27, Q8, COINCIDENT, presentation_of((-1, -3, 2))):
-            result = enumerate_cosets(presentation, strategy=strategy, validate=True)
+            result = checked_enumerate(presentation, strategy=strategy)
             assert result == NAIVE[strategy](presentation, 100_000)
 
 
@@ -550,11 +585,11 @@ class TestClosedForms:
 
 
 # Reference: the scan and merge of the per-coset-row table before the
-# closing walk and the inline finds.  Every scan starts with the indexed
-# forward walk, liveness is checked before every relator, and every find
-# is a rep() call made through a union closure.  The current table must
-# leave the same rows and parent links, so the same representatives,
-# after every enumeration.
+# early stop on proper powers and the inline finds.  Every scan walks the
+# whole relator forward, liveness is checked before every relator, and
+# every find is a rep() call made through a union closure.  The current
+# table must leave the same rows and parent links, so the same
+# representatives, after every enumeration.
 
 
 class IndexedWalkCosetTable(CosetTable):
@@ -596,11 +631,12 @@ class IndexedWalkCosetTable(CosetTable):
                     if target >= 0:
                         self.deductions += (mu * n + column, target * n + (column ^ 1))
 
-    def _scan(self, coset, relators, fill):
+    def _scan(self, coset, relators):
         rows, parent, deductions, n = self.rows, self.parent, self.deductions, self.ncols
-        for _head, _tail, steps, backward in relators:
+        for head, tail, backward in relators:
             if parent[coset] != coset:
                 return
+            steps = head + tail
             f = coset
             for i, column in steps:
                 nxt = rows[f][column]
@@ -631,18 +667,22 @@ class IndexedWalkCosetTable(CosetTable):
                     if deductions is not None:
                         deductions += (f * n + column, b * n + backward[i])
                     break
-                if not fill:
+                if deductions is not None:
                     break
                 f = self._define(f, column)
                 i += 1
 
 
-def run_table(table_class, presentation, budget, strategy, validate):
+class CheckedIndexedWalkCosetTable(Checked, IndexedWalkCosetTable):
+    pass
+
+
+def run_table(table_class, presentation, budget, strategy):
     """The table enumerate_cosets builds, left as the run ends."""
     table = table_class(presentation.ngens, budget)
     run = _relator_first if strategy is Strategy.RELATOR_FIRST else _definition_first
     try:
-        run(table, tuple(r for r in presentation.relators if r), validate)
+        run(table, tuple(r for r in presentation.relators if r))
     except _BudgetExhausted:
         pass
     return table
@@ -667,10 +707,10 @@ class TestAgainstIndexedWalkReference:
     @settings(max_examples=120, deadline=None)
     @given(small_presentations(), st.sampled_from([50, 400]), st.sampled_from(list(Strategy)))
     def test_same_table_and_counters(self, presentation, budget, strategy):
-        table = run_table(CosetTable, presentation, budget, strategy, True)
-        reference = run_table(IndexedWalkCosetTable, presentation, budget, strategy, True)
+        table = run_table(CheckedCosetTable, presentation, budget, strategy)
+        reference = run_table(CheckedIndexedWalkCosetTable, presentation, budget, strategy)
         assert table_state(table) == table_state(reference)
-        result = enumerate_cosets(presentation, budget, strategy, validate=True)
+        result = checked_enumerate(presentation, budget, strategy)
         if isinstance(result, Finite):
             expected = ("Finite", reference.live, reference.defined)
         else:
@@ -686,6 +726,6 @@ class TestAgainstIndexedWalkReference:
             3, ((-1, 3, 2, 1, -3), (2, -3, 2, -1, 3, 3), (1, 3, 1, 2))
         )
         for presentation in (T235, PSL27, COINCIDENT, coxeter_symmetric(6), deep_find):
-            table = run_table(CosetTable, presentation, 100_000, strategy, False)
-            reference = run_table(IndexedWalkCosetTable, presentation, 100_000, strategy, False)
+            table = run_table(CosetTable, presentation, 100_000, strategy)
+            reference = run_table(IndexedWalkCosetTable, presentation, 100_000, strategy)
             assert table_state(table) == table_state(reference)
