@@ -241,7 +241,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError:
+    except (MemoryError, OverflowError):
+        # OverflowError: a word too long to index, such as x1^(10^20)
         print("error: out of memory", file=sys.stderr)
         return 1
 

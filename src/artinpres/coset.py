@@ -11,12 +11,13 @@ The table keeps one row per coset, a list of its 2 * ngens entries, so a
 scan step is one subscript of a row.  A coincidence folds each dead row
 into its representative and then releases it, so memory follows the live
 cosets, not every coset ever defined, and no coset is renumbered.  The
-merge resolves representatives inline and calls the compressing find only
-for a coset more than one step from its representative.  Each strategy
-makes one scan call per coset it traces, against all the relators that
-apply there.  Both share one scan: one forward walk per relator, and a
-backward walk from the far end only where the forward walk meets an
-undefined entry.  Relator-first scans the cosets in increasing order, so
+merge, _merge, takes two distinct live cosets, the only kind a walk along
+live rows finds, and in its fold resolves representatives inline, calling
+the compressing find only for a coset more than one step from its
+representative.  Each strategy makes one scan call per coset it traces,
+against all the relators that apply there.  Both share one scan: one
+forward walk per relator, and a backward walk from the far end only where
+the forward walk meets an undefined entry.  Relator-first scans the cosets in increasing order, so
 its forward walk around a proper power u^m stops after one u when that
 reaches a coset scanned before, whose closed cycle runs through here.
 
@@ -121,7 +122,7 @@ class CosetTable:
     Coincidences are handled by union-find with the smaller coset as
     representative, so coset 0 never dies.  A merge folds each dead row
     into its representative and repoints the entries that named it, so once
-    merge() returns, live rows refer to live cosets only and scans need no
+    _merge() returns, live rows refer to live cosets only and scans need no
     representative lookups.  Once folded, a dead coset is named by no entry
     and its row is released (rows[c] is None), so the table holds at most
     peak_live rows while no coset is renumbered.
@@ -186,31 +187,23 @@ class CosetTable:
             self.deductions += (coset * n + column, new * n + (column ^ 1))
         return new
 
-    def merge(self, a: int, b: int) -> None:
+    def _merge(self, a: int, b: int) -> None:
         """Identify two cosets and fold tables, queueing induced
         coincidences until none remain; each dead row is released once
-        folded.
+        folded.  Precondition: a != b and both are live, as _scan ensures.
 
-        The finds are inline: a coset that is live, or one step from its
-        representative, is resolved by two subscripts, and only a longer
-        path calls rep(), which compresses it.  So the unions, and the
-        compressed parent links, are exactly those of one rep() call per
-        find.
+        The finds in the fold are inline: a coset that is live, or one step
+        from its representative, is resolved by two subscripts, and only a
+        longer path calls rep(), which compresses it.  So the unions, and
+        the compressed parent links, are exactly those of one rep() call
+        per find.
         """
         self.coincidences += 1
         rows, parent, rep = self.rows, self.parent, self.rep
-        mu = parent[a]
-        if parent[mu] != mu:
-            mu = rep(a)
-        nu = parent[b]
-        if parent[nu] != nu:
-            nu = rep(b)
-        if mu == nu:
-            return
-        if nu < mu:
-            mu, nu = nu, mu
-        parent[nu] = mu
-        dead = [nu]
+        if b < a:
+            a, b = b, a
+        parent[b] = a
+        dead = [b]
         for gamma in dead:  # the unions below append while this loop runs
             # enumerate reads the row as it goes: a loop at gamma clears
             # the inverse entry ahead of the walk
@@ -261,7 +254,8 @@ class CosetTable:
         becomes a deduction, a mismatch at the meeting point a coincidence.
         Without a deduction stack (relator-first), wider gaps are bridged by
         defining new cosets, so each scan completes unless the budget runs
-        out; Felsch leaves them for a later definition.
+        out; Felsch leaves them for a later definition.  Both walks follow
+        live rows, so _merge gets the two distinct live cosets it requires.
 
         The forward walk around a proper power u^m stops after its first u
         when it reaches a coset below this one.  Only relator-first splits
@@ -294,7 +288,7 @@ class CosetTable:
                 else:
                     # the forward walk covered the word; it must end where it began
                     if f != coset:
-                        self.merge(f, coset)
+                        self._merge(f, coset)
                         if parent[coset] != coset:
                             return
                     continue
@@ -310,7 +304,7 @@ class CosetTable:
                 if j < i:
                     # both walks covered the word; the junction cosets coincide
                     if f != b:
-                        self.merge(f, b)
+                        self._merge(f, b)
                         if parent[coset] != coset:
                             return
                     break
@@ -330,10 +324,11 @@ class CosetTable:
                 i += 1
 
     def check_consistency(self) -> None:
-        """The invariant merge() restores and _scan relies on: a coset has a
+        """The invariant _merge() restores and _scan relies on: a coset has a
         row exactly while it is live, and every entry of a live row names a
-        live coset whose inverse entry points straight back.  Assertable
-        between scans."""
+        live coset whose inverse entry points straight back.  So a walk
+        along the table meets live cosets only, which is what _merge
+        requires of its two arguments.  Assertable between scans."""
         rows, parent = self.rows, self.parent
         if len(rows) != self.defined:
             raise AssertionError(f"{len(rows)} rows for {self.defined} cosets")

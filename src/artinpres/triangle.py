@@ -17,8 +17,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .coset import FinitePresentation
-from .twogen import Tuple3, _relators, _twist_power, build_r2
-from .words import Word, _conjugator_length, _join, invert
+from .twogen import Tuple3, _relators
+from .words import _join, _power
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,7 @@ def triangle_quotient(t: Tuple3) -> FinitePresentation:
     (|a-c|, |b-c|, |c|), which makes the certificate chain checkable by
     coset enumeration on finite cases.
     """
-    p = build_r2(t)
-    return FinitePresentation(2, p.relators + (_twist_power(t[2]),))
+    return FinitePresentation(2, _relators(t) + (_power((1, 2), t[2]),))
 
 
 def triangle_verdict(t: Tuple3) -> TriangleVerdict:
@@ -195,19 +194,6 @@ def triviality_certificate(t: Tuple3) -> TrivialityCertificate | None:
         ("Y", (("B", c),)),
         _other_output(1),
     )
-
-
-def _power(word: Word, exponent: int) -> Word:
-    """word^exponent of a reduced word: with word = u v u^-1 and v
-    cyclically reduced, it is u v^exponent u^-1, built without cancelling."""
-    if exponent < 0:
-        word, exponent = invert(word), -exponent
-    if exponent == 1:
-        return word
-    if not word or not exponent:
-        return ()
-    k = _conjugator_length(word)
-    return word[:k] + word[k : len(word) - k] * exponent + word[len(word) - k :]
 
 
 def check_certificate(t: Tuple3, certificate: TrivialityCertificate) -> bool:

@@ -12,14 +12,9 @@ law: the family is a copy of Z^3.
 from __future__ import annotations
 
 from .artin import ArtinPresentation, _from_reduced
-from .words import ParseError, Word, _integer, _join, generator_power
+from .words import ParseError, Word, _integer, _join, _power, generator_power
 
 Tuple3 = tuple[int, int, int]
-
-
-def _twist_power(c: int) -> Word:
-    """(x1 x2)^c as a letter sequence."""
-    return (1, 2) * c if c >= 0 else (-2, -1) * (-c)
 
 
 def _relators(t: Tuple3) -> tuple[Word, Word]:
@@ -29,7 +24,7 @@ def _relators(t: Tuple3) -> tuple[Word, Word]:
     fall out of the join.
     """
     a, b, c = t
-    twist = _twist_power(c)
+    twist = _power((1, 2), c)
     return _join((generator_power(1, a - c), twist)), _join((generator_power(2, b - c), twist))
 
 
@@ -47,7 +42,7 @@ def recognize_r2(p: ArtinPresentation) -> Tuple3:
         raise ValueError(f"expected a two-generator presentation, got n={p.n}")
     m = p.exponent_matrix().entries
     t = (m[0][0], m[1][1], m[0][1])
-    if build_r2(t) != p:
+    if _relators(t) != p.relators:
         raise ValueError(f"presentation does not match the canonical form for {t}")
     return t
 

@@ -62,6 +62,19 @@ def _conjugator_length(word: Word) -> int:
     return next(compress(count(), map(add, word, reversed(word))), len(word) // 2)
 
 
+def _power(word: Word, exponent: int) -> Word:
+    """word^exponent of a reduced word: with word = u v u^-1 and v
+    cyclically reduced, it is u v^exponent u^-1, built without cancelling."""
+    if exponent < 0:
+        word, exponent = invert(word), -exponent
+    if exponent == 1:
+        return word
+    if not word or not exponent:
+        return ()
+    k = _conjugator_length(word)
+    return word[:k] + word[k : len(word) - k] * exponent + word[len(word) - k :]
+
+
 def free_reduce(letters: Iterable[int]) -> Word:
     """Cancel adjacent inverse pairs until none remain.  Idempotent and
     length-nonincreasing; a reduced word comes back as it is.  Raises

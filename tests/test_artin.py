@@ -283,6 +283,8 @@ class TestIdentityPresentation:
     def test_empty(self):
         p = identity_presentation(0)
         assert p.n == 0 and p.relators == ()
+        with pytest.raises(ValueError, match="nonnegative"):
+            identity_presentation(-1)
 
     def test_two_generators(self):
         p = identity_presentation(2)
@@ -324,10 +326,15 @@ class TestExponentMatrix:
             r = braid_to_artin(random_framed_pure_braid(rng, n))
             total = compose(u, r).exponent_matrix()
             assert total == u.exponent_matrix() + r.exponent_matrix()
+        with pytest.raises(ValueError, match="matrix sizes differ"):
+            ExponentMatrix(((1,),)) + ExponentMatrix(((1, 0), (0, 1)))
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             ExponentMatrix(((1, 2),))
+        # one relator for two generators
+        with pytest.raises(ValueError, match="expected 2 relators, got 1"):
+            exponent_matrix(2, [()])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -499,6 +506,8 @@ class TestPresentationText:
     def test_bad_header(self):
         with pytest.raises(ParseError):
             parse_presentation("group 2\nr1 = x1\nr2 = x2")
+        with pytest.raises(ParseError, match="empty presentation text"):
+            parse_presentation(" \n\t\n")
 
     def test_wrong_relator_count(self):
         with pytest.raises(ParseError):

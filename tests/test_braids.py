@@ -45,6 +45,8 @@ class TestBraidWord:
             BraidWord(2, (2,))
         with pytest.raises(ValueError):
             BraidWord(3, (0,))
+        with pytest.raises(ValueError, match="nonnegative"):
+            BraidWord(-1, ())
 
     def test_identity_braid_allowed_for_any_n(self):
         assert BraidWord(0, ()).letters == ()

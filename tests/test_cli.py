@@ -9,6 +9,8 @@ GOLDEN = Path(__file__).parent / "golden"
 ICOSAHEDRAL = "artin 2\nr1 = x1^-2 x2 x1 x2\nr2 = x2^-5 x1 x2 x1 x2\n"
 TWIST = "artin 2\nr1 = x1 x2\nr2 = x1 x2\n"
 NON_ARTIN = "artin 2\nr1 = x1\nr2 = x1\n"
+# an exponent whose word is too long to index: building it overflows
+HUGE = "99999999999999999999"
 
 
 @pytest.fixture
@@ -181,6 +183,10 @@ class TestClassify:
         code, out, err = run(capsys, "classify", "2,3,5")
         assert (code, out) == (1, "")
         assert err == "error: 2,3,5 is outside the trivial-group families\n"
+        # classify builds no word, so a huge triple is no out-of-memory error
+        code, out, err = run(capsys, "classify", f"{HUGE},0,0")
+        assert (code, out) == (1, "")
+        assert err == f"error: {HUGE},0,0 is outside the trivial-group families\n"
 
     # int() takes 1_0 and non-ASCII digits; a part must be ASCII [+-]?[0-9]+.
     # A triple that starts with "-" is echoed as typed, whatever follows.
@@ -298,6 +304,18 @@ class TestErrorHandling:
     def test_bad_word_in_file(self, capsys, write):
         code, _, _ = run(capsys, "verify", write("p.txt", "artin 1\nr1 = q5\n"))
         assert code == 2
+        code, out, err = run(capsys, "verify", write("p.txt", "\n  \n"))
+        assert (code, out, err) == (2, "", "error: empty presentation text\n")
+
+    def test_huge_tuple_build_is_out_of_memory(self, capsys):
+        code, out, err = run(capsys, "tuple", "build", f"{HUGE},0,0")
+        assert (code, out, err) == (1, "", "error: out of memory\n")
+
+    @pytest.mark.parametrize("command", ["braid2artin", "invert"])
+    def test_huge_framing_is_out_of_memory(self, capsys, write, command):
+        text = f"braid 2 : s1^2 ; framings = {HUGE},1\n"
+        code, out, err = run(capsys, command, write("b.txt", text))
+        assert (code, out, err) == (1, "", "error: out of memory\n")
 
     def test_exponent_past_cap_in_file(self, capsys, write):
         code, out, err = run(capsys, "coset", write("p.txt", "artin 1\nr1 = x1^1000000000\n"))

@@ -2,7 +2,7 @@ from operator import mul
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artinpres.coset import (
@@ -28,6 +28,10 @@ PSL27 = FinitePresentation(2, ((1, 1), (2, 2, 2), (1, 2) * 7, (-1, -2, 1, 2) * 4
 Q8 = FinitePresentation(2, ((1, 1, 1, 1), (1, 1, -2, -2), (-2, 1, 2, 1)))
 # <x, y | xyx^-1 y^-2, yxy^-1 x^-2> collapses only through coincidences
 COINCIDENT = FinitePresentation(2, ((1, 2, -1, -2, -2), (2, 1, -2, -1, -1)))
+# <x | x^3, x^2> is trivial; a scan that tests the proper-power early stop
+# after the whole relator, not after one period, gives it order 2 under
+# Felsch, a fault that random draws can miss for a whole run
+CUBE_AND_SQUARE = FinitePresentation(1, ((1, 1, 1), (1, 1)))
 
 
 def coxeter_symmetric(n):
@@ -46,7 +50,12 @@ def presentation_of(t):
 class Checked:
     """Asserts the table invariant between scans: in relator-first after
     each relator's scan, in Felsch after each drained deduction stack, so
-    before every definition at a hole and once the table closes."""
+    before every definition at a hole and once the table closes.  Asserts
+    _merge's precondition, two distinct live cosets, on every merge."""
+
+    def _merge(self, a, b):
+        assert a != b and self.is_live(a) and self.is_live(b), (a, b)
+        super()._merge(a, b)
 
     def _scan(self, coset, relators):
         if self.deductions is None:
@@ -218,7 +227,7 @@ class TestTableInternals:
         table = CosetTable(1, 10)
         first = table.define(0, 1)
         second = table.define(first, 1)
-        table.merge(second, 0)
+        table._merge(second, 0)
         assert table.is_live(0)
         assert table.rep(second) == 0
         table.check_consistency()
@@ -249,7 +258,7 @@ class TestTableInternals:
         coset = 0
         for _ in range(4):
             coset = table.define(coset, 1)
-        table.merge(4, 2)
+        table._merge(4, 2)
         assert [table.is_live(c) for c in range(5)] == [True, True, False, False, False]
         assert table.rows[2:] == [None, None, None]
         assert table.rows[:2] == [[1, 1], [0, 0]]
@@ -535,12 +544,14 @@ class TestBudgetBound:
 class TestAgainstNaiveReference:
     @settings(max_examples=60, deadline=None)
     @given(small_presentations(), st.sampled_from([50, 400]))
+    @example(CUBE_AND_SQUARE, 50)
     def test_relator_first(self, presentation, budget):
         result = checked_enumerate(presentation, budget, Strategy.RELATOR_FIRST)
         assert result == naive_relator_first(presentation, budget)
 
     @settings(max_examples=30, deadline=None)
     @given(small_presentations(), st.sampled_from([50, 400]))
+    @example(CUBE_AND_SQUARE, 50)
     def test_definition_first(self, presentation, budget):
         result = checked_enumerate(presentation, budget, Strategy.DEFINITION_FIRST)
         assert result == naive_definition_first(presentation, budget)
@@ -593,7 +604,7 @@ class TestClosedForms:
 
 
 class IndexedWalkCosetTable(CosetTable):
-    def merge(self, a, b):
+    def _merge(self, a, b):
         self.coincidences += 1
         rows, rep = self.rows, self.rep
         dead = []
@@ -645,7 +656,7 @@ class IndexedWalkCosetTable(CosetTable):
                 f = nxt
             else:
                 if f != coset:
-                    self.merge(f, coset)
+                    self._merge(f, coset)
                 continue
             b = coset
             j = len(backward) - 1
@@ -658,7 +669,7 @@ class IndexedWalkCosetTable(CosetTable):
                     j -= 1
                 if j < i:
                     if f != b:
-                        self.merge(f, b)
+                        self._merge(f, b)
                     break
                 column = steps[i][1]
                 if i == j:
@@ -706,6 +717,8 @@ def result_fields(result):
 class TestAgainstIndexedWalkReference:
     @settings(max_examples=120, deadline=None)
     @given(small_presentations(), st.sampled_from([50, 400]), st.sampled_from(list(Strategy)))
+    @example(CUBE_AND_SQUARE, 50, Strategy.RELATOR_FIRST)
+    @example(CUBE_AND_SQUARE, 50, Strategy.DEFINITION_FIRST)
     def test_same_table_and_counters(self, presentation, budget, strategy):
         table = run_table(CheckedCosetTable, presentation, budget, strategy)
         reference = run_table(CheckedIndexedWalkCosetTable, presentation, budget, strategy)

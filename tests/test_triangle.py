@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from artinpres import coset, triangle, twogen
+from artinpres import coset, triangle, twogen, words
 from artinpres.coset import Finite, FinitePresentation, enumerate_cosets
 from artinpres.fourmanifolds import enumerate_trivial
 from artinpres.triangle import (
@@ -151,6 +151,17 @@ class TestTriangleQuotient:
         result = enumerate_cosets(triangle_quotient((5, 6, 3)))
         assert isinstance(result, Finite) and result.order == 12
 
+    def test_no_artin_presentation_built(self, monkeypatch):
+        t = (-1, -3, 2)
+        relators = build_r2(t).relators + ((1, 2, 1, 2),)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("triangle_quotient built an Artin presentation")
+
+        monkeypatch.setattr(twogen, "_from_reduced", fail)
+        monkeypatch.setattr(twogen.ArtinPresentation, "__post_init__", fail)
+        assert triangle_quotient(t).relators == relators
+
 
 class TestTrivialityStatus:
     def test_nontrivial_by_abelianization(self):
@@ -176,8 +187,8 @@ class TestTrivialityStatus:
         def fail(*args, **kwargs):
             raise AssertionError("triviality_status built a presentation or enumerated")
 
-        monkeypatch.setattr(triangle, "build_r2", fail)
         monkeypatch.setattr(twogen, "build_r2", fail)
+        monkeypatch.setattr(twogen, "_from_reduced", fail)
         monkeypatch.setattr(coset, "enumerate_cosets", fail)
         monkeypatch.setattr(coset.CosetTable, "__init__", fail)
         for t in enumerate_trivial(8) + [(2001, 1999, 2000), (0, 2000, -1)]:
@@ -263,7 +274,7 @@ class TestTrivialityCertificate:
     def test_power_matches_repeated_product(self, letters, exponent):
         word = free_reduce(letters)
         factor = word if exponent >= 0 else invert(word)
-        assert triangle._power(word, exponent) == concat(*[factor] * abs(exponent))
+        assert words._power(word, exponent) == concat(*[factor] * abs(exponent))
 
     def test_wrong_triple_fails(self):
         assert not check_certificate((5, 2, 3), triviality_certificate((5, 1, 2)))

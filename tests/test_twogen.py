@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from artinpres import twogen
 from artinpres.artin import compose, identity_presentation
 from artinpres.twogen import (
     _relators,
-    _twist_power,
     build_r2,
     format_tuple3,
     parse_tuple3,
@@ -24,7 +24,7 @@ from conftest import large_members
 def relators_by_free_reduction(t):
     """x1^(a-c)(x1x2)^c and x2^(b-c)(x1x2)^c, concatenated, then reduced."""
     a, b, c = t
-    twist = _twist_power(c)
+    twist = (1, 2) * c if c >= 0 else (-2, -1) * -c
     return (
         free_reduce(generator_power(1, a - c) + twist),
         free_reduce(generator_power(2, b - c) + twist),
@@ -76,6 +76,16 @@ class TestRecognize:
     def test_wrong_rank(self):
         with pytest.raises(ValueError):
             recognize_r2(identity_presentation(3))
+
+    def test_no_artin_presentation_built(self, monkeypatch):
+        p = build_r2((5, 2, 3))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("recognize_r2 built an Artin presentation")
+
+        monkeypatch.setattr(twogen, "_from_reduced", fail)
+        monkeypatch.setattr(twogen.ArtinPresentation, "__post_init__", fail)
+        assert recognize_r2(p) == (5, 2, 3)
 
     def test_grid_round_trip(self):
         for a in range(-20, 21):

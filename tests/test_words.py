@@ -165,6 +165,8 @@ class TestHelpers:
     def test_generator_power(self):
         assert generator_power(2, -3) == (-2, -2, -2)
         assert generator_power(1, 0) == ()
+        with pytest.raises(ValueError, match="index must be >= 1"):
+            generator_power(0, 1)
 
     def test_conjugate(self):
         assert conjugate((1,), (2,)) == (-2, 1, 2)
