@@ -176,8 +176,6 @@ def _from_reduced(n: int, relators: tuple[Word, ...]) -> ArtinPresentation:
 
 def identity_presentation(n: int) -> ArtinPresentation:
     """The identity element: all relators empty."""
-    if n < 0:
-        raise ValueError("generator count must be nonnegative")
     return ArtinPresentation(n, ((),) * n)
 
 

@@ -3,9 +3,9 @@
 Every subcommand reads and writes deterministic text, suitable for golden
 file testing: identical inputs and flags produce byte-identical output.
 Exit codes: 0 on success, 1 on domain errors (for example a non-pure braid,
-a triple outside the trivial-group families, or a computation that gave up,
-reported as RuntimeError, or ran out of memory), 2 on usage or parse errors.
-Error text goes to stderr.  File arguments accept ``-`` for stdin.
+a triple outside the trivial-group families, or a computation that ran out
+of memory), 2 on usage or parse errors.  Error text goes to stderr.  File
+arguments accept ``-`` for stdin.
 """
 
 from __future__ import annotations
@@ -64,8 +64,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
-    u = ArtinPresentation(*parse_presentation(_read_input(args.first)))
-    r = ArtinPresentation(*parse_presentation(_read_input(args.second)))
+    # one path given twice, such as ``- -``, is read once: stdin reads only once
+    first = _read_input(args.first)
+    second = first if args.second == args.first else _read_input(args.second)
+    u = ArtinPresentation(*parse_presentation(first))
+    r = ArtinPresentation(*parse_presentation(second))
     print(compose(u, r))
     return 0
 

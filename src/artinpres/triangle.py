@@ -208,8 +208,12 @@ def check_certificate(t: Tuple3, certificate: TrivialityCertificate) -> bool:
     """
     for (r1, r2), outputs in ((_relators(t), ((1,), (2,))), (((), ()), ((), ()))):
         values = {"x1": (1,), "x2": (2,), "r1": r1, "r2": r2}
-        for name, factors in certificate:
-            values[name] = _join(_power(values[symbol], e) for symbol, e in factors)
+        try:
+            for name, factors in certificate:
+                values[name] = _join(_power(values[symbol], e) for symbol, e in factors)
+        except KeyError:
+            # a step names a symbol that no earlier step defines
+            return False
         if (values.get("X1"), values.get("X2")) != outputs:
             return False
     return True

@@ -35,16 +35,26 @@ def build_r2(t: Tuple3) -> ArtinPresentation:
 
 
 def recognize_r2(p: ArtinPresentation) -> Tuple3:
-    """Read (a, b, c) off the exponent matrix and verify the canonical form
-    word for word.  A mismatch means the input is not in the two-generator
-    canonical family and raises ValueError."""
+    """The triple (a, b, c) of a two-generator Artin presentation, read off
+    its exponent matrix [[a, c], [c, b]].
+
+    The relators of p are exactly _relators((a, b, c)), so no word is built
+    or compared.  The map x_i -> r_i^-1 x_i r_i fixes y = x1 x2 and sends
+    each x_i to a conjugate of itself, so by Artin's theorem (E. Artin,
+    "Theory of braids", Ann. of Math. 48 (1947); J. Birman, *Braids, Links,
+    and Mapping Class Groups* (1974), ch. 1) it is the action of a pure
+    2-braid.  The pure braid group P2 is generated by s1^2, which under this
+    package's convention acts as conjugation by y: generator_images of
+    BraidWord(2, (1, 1)) is (y^-1 x1 y, y^-1 x2 y).  So r_i^-1 x_i r_i =
+    y^-m x_i y^m for one integer m, and r_i y^-m centralizes x_i.  The
+    centralizer of x_i in F2 is <x_i>, so r_i = x_i^k_i y^m.  Exponent sums
+    give m = c, k1 = a - c and k2 = b - c, and free reduction is unique, so
+    the stored relators are the words of _relators.
+    """
     if p.n != 2:
         raise ValueError(f"expected a two-generator presentation, got n={p.n}")
     m = p.exponent_matrix().entries
-    t = (m[0][0], m[1][1], m[0][1])
-    if _relators(t) != p.relators:
-        raise ValueError(f"presentation does not match the canonical form for {t}")
-    return t
+    return (m[0][0], m[1][1], m[0][1])
 
 
 def tuple_add(s: Tuple3, t: Tuple3) -> Tuple3:

@@ -55,6 +55,12 @@ class TestCompose:
         assert code == 0
         assert out == "artin 2\nr1 = x1 x2 x1 x2\nr2 = x1 x2 x1 x2\n"
 
+    def test_stdin_twice_is_read_once(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(TWIST))
+        assert run(capsys, "compose", "-", "-") == run(capsys, "tuple", "build", "2,2,2")
+
     def test_non_artin_input_is_domain_error(self, capsys, write):
         code, _, err = run(
             capsys, "compose", write("a.txt", NON_ARTIN), write("b.txt", TWIST)

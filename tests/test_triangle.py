@@ -280,6 +280,16 @@ class TestTrivialityCertificate:
         assert not check_certificate((5, 2, 3), triviality_certificate((5, 1, 2)))
         assert not check_certificate((2, 1, 1), triviality_certificate((1, 2, 1)))
 
+    @pytest.mark.parametrize(
+        "program",
+        [
+            (("X1", (("Q", 1),)),),  # not a symbol of the program
+            (("X1", (("X1", 1),)),),  # used before its own step defines it
+        ],
+    )
+    def test_undefined_symbol_fails(self, program):
+        assert not check_certificate((5, 1, 2), program)
+
 
 class TestClosedFormAgainstEnumeration:
     """The coset enumerator is the independent oracle for the closed form."""

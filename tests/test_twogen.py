@@ -2,11 +2,12 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from artinpres import twogen
-from artinpres.artin import compose, identity_presentation
+from artinpres.artin import ArtinPresentation, compose, identity_presentation, parse_presentation
+from artinpres.braids import BraidWord, FramedPureBraid, artin_inverse, braid_to_artin
 from artinpres.twogen import (
     _relators,
     build_r2,
@@ -92,6 +93,63 @@ class TestRecognize:
             for b in range(-20, 21):
                 for c in range(-20, 21):
                     assert recognize_r2(build_r2((a, b, c))) == (a, b, c)
+
+
+def framed_pure_2_braid(letters, framings):
+    return FramedPureBraid(BraidWord(2, tuple(letters)), framings)
+
+
+def with_cancelling_pair(p, i, at):
+    """The text of p with "x1 x1^-1" inserted before token `at` of relator i,
+    read back: the same presentation through an unreduced input."""
+    lines = str(p).split("\n")
+    label, word = lines[i].split(" = ")
+    tokens = [] if word == "1" else word.split()
+    tokens.insert(at % (len(tokens) + 1), "x1 x1^-1")
+    lines[i] = f"{label} = {' '.join(tokens)}"
+    return ArtinPresentation(*parse_presentation("\n".join(lines)))
+
+
+triples = st.tuples(*[st.integers(-9, 9)] * 3)
+# a 2-strand braid is pure exactly when it has an even number of crossings
+framed_pure_braids = st.builds(
+    framed_pure_2_braid,
+    st.lists(st.tuples(*[st.sampled_from([1, -1])] * 2), max_size=15).map(
+        lambda pairs: [letter for pair in pairs for letter in pair]
+    ),
+    st.tuples(*[st.integers(-9, 9)] * 2),
+)
+# every way the library builds a rank-2 presentation
+rank_2_presentations = st.one_of(
+    framed_pure_braids.map(braid_to_artin),
+    framed_pure_braids.map(artin_inverse),
+    st.builds(
+        lambda fp, t, first: compose(braid_to_artin(fp), build_r2(t)) if first
+        else compose(build_r2(t), braid_to_artin(fp)),
+        framed_pure_braids,
+        triples,
+        st.booleans(),
+    ),
+    st.builds(
+        with_cancelling_pair,
+        framed_pure_braids.map(braid_to_artin),
+        st.integers(1, 2),
+        st.integers(0, 40),
+    ),
+)
+
+
+class TestArtinTheorem:
+    """Every rank-2 Artin presentation is literally r(a, b, c): its relators
+    are the words _relators gives for the triple on its exponent matrix."""
+
+    @given(rank_2_presentations)
+    @example(braid_to_artin(framed_pure_2_braid((), (0, 0))))
+    @example(braid_to_artin(framed_pure_2_braid((-1, -1), (-1, -1))))
+    def test_relators_are_the_canonical_words(self, p):
+        t = recognize_r2(p)
+        assert _relators(t) == p.relators
+        assert build_r2(t) == p
 
 
 class TestTupleArithmetic:
