@@ -179,7 +179,7 @@ def parse_braid(text: str) -> FramedPureBraid:
     """Parse ``braid <n> : <tokens> ; framings = <f1>,...,<fn>``.
 
     Tokens are ``s<k>`` or ``s<k>^<e>``; the token list may be empty for the
-    identity braid.  Syntax problems, and a strand count beyond
+    identity braid.  Syntax problems, and a strand count or framing beyond
     MAX_EXPONENT, raise ParseError; a well-formed but non-pure braid raises
     ValueError.
     """
@@ -192,12 +192,17 @@ def parse_braid(text: str) -> FramedPureBraid:
     message = f"crossing index must be in 1..{n - 1} in token {{token!r}}"
     letters = parse_runs(match.group(2).split(), "s", "braid", lambda k: 1 <= k < n, message)
     framings_text = match.group(3).strip()
+    entries = framings_text.split(",") if framings_text else []
     try:
-        framings = tuple(map(_integer, framings_text.split(","))) if framings_text else ()
+        framings = tuple(map(_integer, entries))
     except ValueError:
         raise ParseError(f"bad framings list {framings_text!r}") from None
     if len(framings) != n:
         raise ParseError(f"expected {n} framings, got {len(framings)}")
+    for position, (entry, framing) in enumerate(zip(entries, framings), 1):
+        if abs(framing) > MAX_EXPONENT:
+            message = f"framing beyond {MAX_EXPONENT} in framings entry {entry.strip()!r}"
+            raise ParseError(f"{message} at position {position}")
     return FramedPureBraid(BraidWord(n, letters), framings)
 
 

@@ -4,13 +4,15 @@ Every subcommand reads and writes deterministic text, suitable for golden
 file testing: identical inputs and flags produce byte-identical output.
 Exit codes: 0 on success, 1 on domain errors (for example a non-pure braid,
 a triple outside the trivial-group families, or a computation that ran out
-of memory), 2 on usage or parse errors.  Error text goes to stderr.  File
-arguments accept ``-`` for stdin.
+of memory), 2 on usage or parse errors, undecodable input included.  ``main``
+sets every exit code; handlers only print or raise.  Error text goes to
+stderr.  File arguments accept ``-`` for stdin.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -55,41 +57,48 @@ def _format_path(path: MovePath) -> str:
     return f"({format_tuple3(path.start)})" + "".join(moves)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> None:
     n, relators = parse_presentation(_read_input(args.file))
     defect = artin_defect(n, relators)
     flag = "true" if not defect else "false"
     print(f"artin={flag} defect={format_word(defect)}")
-    return 0
 
 
-def _cmd_compose(args: argparse.Namespace) -> int:
-    # one path given twice, such as ``- -``, is read once: stdin reads only once
+def _same_input(a: str, b: str) -> bool:
+    """Whether two file arguments name one input, such as ``-`` and
+    ``/dev/stdin``.  Where a path cannot be stat'ed, or stdin has no file
+    descriptor, only the same argument twice counts as one input."""
+    try:
+        stats = [os.fstat(sys.stdin.fileno()) if path == "-" else os.stat(path) for path in (a, b)]
+    except OSError:
+        return a == b
+    return os.path.samestat(*stats)
+
+
+def _cmd_compose(args: argparse.Namespace) -> None:
+    # one input named twice is read once: stdin reads only once
     first = _read_input(args.first)
-    second = first if args.second == args.first else _read_input(args.second)
+    second = first if _same_input(args.first, args.second) else _read_input(args.second)
     u = ArtinPresentation(*parse_presentation(first))
     r = ArtinPresentation(*parse_presentation(second))
     print(compose(u, r))
-    return 0
 
 
-def _cmd_matrix(args: argparse.Namespace) -> int:
+def _cmd_matrix(args: argparse.Namespace) -> None:
     n, relators = parse_presentation(_read_input(args.file))
     matrix = exponent_matrix(n, relators)
     for row in matrix.entries:
         print(" ".join(str(entry) for entry in row))
     print(f"det={matrix.det()}")
     print(f"symmetric={'true' if matrix.is_symmetric() else 'false'}")
-    return 0
 
 
-def _cmd_braid(args: argparse.Namespace) -> int:
+def _cmd_braid(args: argparse.Namespace) -> None:
     p = args.convert(parse_braid(_read_input(args.file)))
     print(p)
-    return 0
 
 
-def _cmd_tuple(args: argparse.Namespace) -> int:
+def _cmd_tuple(args: argparse.Namespace) -> None:
     if args.action == "build":
         p = build_r2(parse_tuple3(args.args[0]))
         print(p)
@@ -102,10 +111,9 @@ def _cmd_tuple(args: argparse.Namespace) -> int:
         print(format_tuple3(tuple_add(s, t)))
     else:
         print(format_tuple3(tuple_neg(parse_tuple3(args.args[0]))))
-    return 0
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> None:
     t = parse_tuple3(args.tuple)
     manifold, path = classify_x4_with_path(t)
     inv = form_invariants(t)
@@ -113,17 +121,15 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         f"family={trivial_family(t).value} det={inv.det} signature={inv.signature} "
         f"parity={inv.parity.value} X4={manifold.value} path={_format_path(path)}"
     )
-    return 0
 
 
-def _cmd_enum_trivial(args: argparse.Namespace) -> int:
+def _cmd_enum_trivial(args: argparse.Namespace) -> None:
     for t in enumerate_trivial(args.bound):
         manifold, _ = classify_x4_with_path(t)
         print(f"{format_tuple3(t)} family={trivial_family(t).value} X4={manifold.value}")
-    return 0
 
 
-def _cmd_coset(args: argparse.Namespace) -> int:
+def _cmd_coset(args: argparse.Namespace) -> None:
     n, relators = parse_presentation(_read_input(args.file))
     result = enumerate_cosets(
         FinitePresentation(n, relators),
@@ -134,12 +140,10 @@ def _cmd_coset(args: argparse.Namespace) -> int:
         print(f"order={result.order} cosets={result.cosets_defined}")
     else:
         print(f"exceeded={result.limit}")
-    return 0
 
 
-def _cmd_export_kirby(args: argparse.Namespace) -> int:
+def _cmd_export_kirby(args: argparse.Namespace) -> None:
     print(export_kirby(parse_tuple3(args.tuple)))
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -172,8 +176,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_braid, convert=artin_inverse)
 
     p = sub.add_parser("tuple", help="two-generator family operations")
-    p.add_argument("action", choices=["build", "recognize", "add", "neg"])
-    p.add_argument("args", nargs="+")
+    actions = p.add_subparsers(dest="action", required=True)
+    # a string metavar: argparse fails on a tuple one when an argument is missing
+    for action, count, metavar in [("build", 1, "TRIPLE"), ("recognize", 1, "FILE"),
+                                   ("add", 2, "TRIPLE"), ("neg", 1, "TRIPLE")]:
+        actions.add_parser(action).add_argument("args", nargs=count, metavar=metavar)
     p.set_defaults(handler=_cmd_tuple)
 
     p = sub.add_parser("classify", help="family, invariants, 4-manifold, and move path")
@@ -227,18 +234,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     for name, value in vars(args).copy().items():
         setattr(args, name, _as_typed(value))
-    # validate tuple argument counts up front for uniform usage errors
-    if getattr(args, "command", None) == "tuple":
-        expected = 2 if args.action == "add" else 1
-        if len(args.args) != expected:
-            print(
-                f"error: tuple {args.action} takes {expected} argument(s)",
-                file=sys.stderr,
-            )
-            return 2
     try:
-        return args.handler(args)
-    except (ParseError, OSError) as exc:
+        args.handler(args)
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:
@@ -248,6 +246,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # OverflowError: a word too long to index, such as x1^(10^20)
         print("error: out of memory", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

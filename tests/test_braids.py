@@ -307,6 +307,14 @@ class TestBraidText:
                 "braid 1000001 : s1 ; framings = 0",
                 "strand count beyond 1000000 in 'braid <n>' header",
             ),
+            (
+                "braid 2 : ; framings = 1000001,0",
+                "framing beyond 1000000 in framings entry '1000001' at position 1",
+            ),
+            (
+                "braid 2 : ; framings = 0 , -1000001",
+                "framing beyond 1000000 in framings entry '-1000001' at position 2",
+            ),
             # int() and an unflagged \d take these; the grammar is ASCII
             ("braid 2 : ; framings = 1_0,5", "bad framings list '1_0,5'"),
             ("braid 2 : ; framings = 1,\u0665", "bad framings list '1,\u0665'"),
@@ -318,6 +326,9 @@ class TestBraidText:
         with pytest.raises(ParseError) as caught:
             parse_braid(text)
         assert str(caught.value) == message
+
+    def test_framings_up_to_the_cap(self):
+        assert parse_braid("braid 2 : ; framings = 1000000,-1000000").framings == (10**6, -(10**6))
 
     def test_framings_take_signs_and_spaces(self):
         assert parse_braid("braid 2 : ; framings = +1 , -2").framings == (1, -2)

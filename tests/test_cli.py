@@ -1,10 +1,16 @@
+import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import artinpres
 from artinpres.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = str(Path(artinpres.__file__).parent.parent)
 
 ICOSAHEDRAL = "artin 2\nr1 = x1^-2 x2 x1 x2\nr2 = x2^-5 x1 x2 x1 x2\n"
 TWIST = "artin 2\nr1 = x1 x2\nr2 = x1 x2\n"
@@ -41,8 +47,6 @@ class TestVerify:
         assert out == "artin=false defect=x1^-1 x2^-1 x1 x2\n"
 
     def test_stdin(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO(TWIST))
         code, out, _ = run(capsys, "verify", "-")
         assert code == 0 and out.startswith("artin=true")
@@ -56,10 +60,17 @@ class TestCompose:
         assert out == "artin 2\nr1 = x1 x2 x1 x2\nr2 = x1 x2 x1 x2\n"
 
     def test_stdin_twice_is_read_once(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO(TWIST))
         assert run(capsys, "compose", "-", "-") == run(capsys, "tuple", "build", "2,2,2")
+
+    @pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
+    def test_stdin_under_two_names_is_read_once(self, capsys):
+        # a real pipe: "-" and /dev/stdin are one file, which reads only once
+        composed = subprocess.run(
+            [sys.executable, "-m", "artinpres.cli", "compose", "-", "/dev/stdin"],
+            input=TWIST, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert (composed.returncode, composed.stdout, composed.stderr) == run(capsys, "tuple", "build", "2,2,2")
 
     def test_non_artin_input_is_domain_error(self, capsys, write):
         code, _, err = run(
@@ -132,9 +143,26 @@ class TestTuple:
         assert code == 0
         assert out == "1,3,-2\n"
 
-    def test_wrong_argument_count(self, capsys):
-        code, _, err = run(capsys, "tuple", "add", "1,1,1")
-        assert code == 2
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [
+            ([], "usage: artinpres tuple [-h] {build,recognize,add,neg} ...\n"),
+            (["build"], "usage: artinpres tuple build [-h] TRIPLE\n"),
+            (["recognize"], "usage: artinpres tuple recognize [-h] FILE\n"),
+            (["add", "1,1,1"], "usage: artinpres tuple add [-h] TRIPLE TRIPLE\n"),
+            (["neg"], "usage: artinpres tuple neg [-h] TRIPLE\n"),
+            # one argument too many is argparse's top-level error, as for every subcommand
+            (["build", "1,1,1", "1,1,1"], "usage: artinpres [-h]"),
+            (["recognize", "a.txt", "b.txt"], "usage: artinpres [-h]"),
+            (["add", "1,1,1", "1,1,1", "-1,-3,2"], "usage: artinpres [-h]"),
+            (["neg", "1,1,1", "2,2,2"], "usage: artinpres [-h]"),
+        ],
+        ids=["bare", "build-0", "recognize-0", "add-1", "neg-0", "build-2", "recognize-2", "add-3", "neg-2"],
+    )
+    def test_wrong_argument_count(self, capsys, argv, usage):
+        code, out, err = run(capsys, "tuple", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(usage) and err.count("error:") == 1
 
     def test_bad_tuple_syntax(self, capsys):
         code, _, _ = run(capsys, "tuple", "build", "1,2")
@@ -318,10 +346,25 @@ class TestErrorHandling:
         assert (code, out, err) == (1, "", "error: out of memory\n")
 
     @pytest.mark.parametrize("command", ["braid2artin", "invert"])
-    def test_huge_framing_is_out_of_memory(self, capsys, write, command):
+    def test_huge_framing_is_parse_error(self, capsys, write, command):
         text = f"braid 2 : s1^2 ; framings = {HUGE},1\n"
         code, out, err = run(capsys, command, write("b.txt", text))
-        assert (code, out, err) == (1, "", "error: out of memory\n")
+        message = f"error: framing beyond 1000000 in framings entry '{HUGE}' at position 1\n"
+        assert (code, out, err) == (2, "", message)
+
+    def test_undecodable_file_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xffartin 1\nr1 = x1\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+
+    def test_undecodable_strict_stdin_is_parse_error(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xffartin 1\nr1 = x1\n"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "verify", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
 
     def test_exponent_past_cap_in_file(self, capsys, write):
         code, out, err = run(capsys, "coset", write("p.txt", "artin 1\nr1 = x1^1000000000\n"))
