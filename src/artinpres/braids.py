@@ -33,7 +33,6 @@ from .words import (
     Word,
     _bounded,
     _conjugator_length,
-    _integer,
     _join,
     exponent_sum,
     format_runs,
@@ -174,6 +173,10 @@ _BRAID_TEXT = re.compile(
     r"braid\s+0*(\d+)\s*:\s*(.*?)\s*;\s*framings\s*=\s*(.*)", re.DOTALL | re.ASCII
 )
 
+# One framing: a sign and digits, leading zeros apart, counted by _bounded
+# before int() sees them.
+_FRAMING = re.compile(r"([+-]?)0*([0-9]+)")
+
 
 def parse_braid(text: str) -> FramedPureBraid:
     """Parse ``braid <n> : <tokens> ; framings = <f1>,...,<fn>``.
@@ -193,17 +196,19 @@ def parse_braid(text: str) -> FramedPureBraid:
     letters = parse_runs(match.group(2).split(), "s", "braid", lambda k: 1 <= k < n, message)
     framings_text = match.group(3).strip()
     entries = framings_text.split(",") if framings_text else []
-    try:
-        framings = tuple(map(_integer, entries))
-    except ValueError:
-        raise ParseError(f"bad framings list {framings_text!r}") from None
-    if len(framings) != n:
-        raise ParseError(f"expected {n} framings, got {len(framings)}")
-    for position, (entry, framing) in enumerate(zip(entries, framings), 1):
-        if abs(framing) > MAX_EXPONENT:
+    matches = [_FRAMING.fullmatch(entry.strip()) for entry in entries]
+    if None in matches:
+        raise ParseError(f"bad framings list {framings_text!r}")
+    if len(matches) != n:
+        raise ParseError(f"expected {n} framings, got {len(matches)}")
+    framings = []
+    for position, (entry, found) in enumerate(zip(entries, matches), 1):
+        sign, digits = found.groups()
+        if (framing := _bounded(digits)) is None:
             message = f"framing beyond {MAX_EXPONENT} in framings entry {entry.strip()!r}"
             raise ParseError(f"{message} at position {position}")
-    return FramedPureBraid(BraidWord(n, letters), framings)
+        framings.append(-framing if sign == "-" else framing)
+    return FramedPureBraid(BraidWord(n, letters), tuple(framings))
 
 
 def format_braid(fp: FramedPureBraid) -> str:

@@ -229,7 +229,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = [_Shielded(" " + arg) if arg.startswith("-") and "," in arg else arg for arg in argv]
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:  # parse_args's own error would echo the shielding space
+            parser.error(f"unrecognized arguments: {' '.join(_as_typed(extras))}")
     except SystemExit as exc:
         return int(exc.code or 0)
     for name, value in vars(args).copy().items():

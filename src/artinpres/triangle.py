@@ -7,7 +7,10 @@ surjection of its group onto T(|a-c|, |b-c|, |c|), so whenever those three
 values are all at least 2 the group is certified nontrivial, and infinite
 when additionally 1/|a-c| + 1/|b-c| + 1/|c| <= 1.  Triviality certificates
 go the other way: a straight-line program that writes x1 and x2 as
-products of conjugates of the relators, checked by free reduction.
+products of conjugates of the relators, checked by free reduction.  The
+programs have 2 steps on T1 and T4 and 3 on T5, and a check on T4 or T5
+builds about 2(|r1| + |r2|) letters; the 16 T2 and T3 triples take 4 or 9
+steps.
 """
 
 from __future__ import annotations
@@ -137,26 +140,69 @@ def _is_trivial(t: Tuple3) -> bool:
     return abs(a * b - c * c) == 1 and min(abs(a - c), abs(b - c), abs(c)) <= 1
 
 
+def _step(name: str, *factors: tuple[str, int]) -> CertificateStep:
+    """A step without its factors of exponent 0, which a flip would leave
+    unchanged."""
+    return (name, tuple(factor for factor in factors if factor[1]))
+
+
 def triviality_certificate(t: Tuple3) -> TrivialityCertificate | None:
     """A straight-line program proving r(a, b, c) trivial, or None exactly
     when _is_trivial(t) is false.
 
     With y = x1 x2, p = a - c and q = b - c the relators are r1 = x1^p y^c
-    and r2 = x2^q y^c.  Each case isolates one element from a relator
-    whose other exponent is 0 or +-1: for c = 0, r_i^(+-1) = x_i; for
-    p = 0 or q = 0, r_i^c = y; for |p| = 1 or |q| = 1, r_i y^-c is x_i or
-    its inverse, which writes the other generator in y and leaves
-    y^(+-det) as a product of relator conjugates; for |c| = 1 the same
-    steps run with x1 in place of y.  Every step has a few factors, so
-    check_certificate runs in O(|a| + |b| + |c|) letters.
+    and r2 = x2^q y^c.
+
+    T1 (c = 0, |p| = |q| = 1), 2 steps: r_i^(+-1) = x_i.
+
+    T4 (|c| = 1, ab = 0), 2 steps; one relator is a conjugate of a
+    generator, and (0, 0, +-1) takes the program of (0, b, +-1):
+      (0, b, 1):  r1 = x2, so X2 = r1 and X1 = X2^(1-b) r2 X2^-1;
+      (0, b, -1): r1^-1 = x1 x2 x1^-1 and r2 = x2^b x1^-1, so
+                  r1^-b = x1 x2^b x1^-1 = x1 r2, X1 = r1^-b r2^-1 and
+                  X2 = X1^-1 r1^-1 X1;
+      (a, 0, 1):  r1 = x1^a x2 and r2 = x2^-1 x1 x2, so
+                  r2^a = x2^-1 x1^a x2 = x2^-1 r1, X2 = r1 r2^-a and
+                  X1 = X2 r2 X2^-1;
+      (a, 0, -1): r2 = x1^-1, so X1 = r2^-1 and X2 = X1^-1 r1^-1 X1^(a+1).
+
+    T5 (p = -q = +-1, |c| >= 2; its four members with |c| = 1 are in T4
+    and take T4's program), 3 steps: for p = 1, r1 r2^-1 = x1 y^c y^-c x2
+    = y, so Y = r1 r2^-1, X1 = r1 Y^-c and X2 = X1^-1 Y; for p = -1,
+    r1^-1 r2 = y^-c x1 x2 y^c = y, so Y = r1^-1 r2, X1 = Y^c r1^-1 and
+    X2 = X1^-1 Y.
+
+    T2 and T3, the 16 other triples: a relator whose other exponent is 0
+    gives y = r_i^c (4 steps); otherwise, for |p| = 1 or |q| = 1, r_i y^-c
+    is x_i or its inverse, which writes the other generator in y and
+    leaves y^(+-det) as a product of relator conjugates, and for |c| = 1
+    the same steps run with x1 in place of y (9 steps).
+
+    Every factor of exponent 0 is left out.  Every step has a few factors,
+    so check_certificate runs in O(|a| + |b| + |c|) letters; on T4 and T5
+    it builds about 2(|r1| + |r2|) letters over its two runs.
     """
     if not _is_trivial(t):
         return None
     a, b, c = t
     det = a * b - c * c
     p, q = a - c, b - c
-    if c == 0:  # |p| = |q| = 1
+    if c == 0:  # T1: |p| = |q| = 1
         return (("X1", (("r1", p),)), ("X2", (("r2", q),)))
+    # T4: every (0, b, +-1) and (a, 0, +-1) is trivial (det = -1)
+    if a == 0 and c == 1:
+        return (("X2", (("r1", 1),)), _step("X1", ("X2", 1 - b), ("r2", 1), ("X2", -1)))
+    if a == 0 and c == -1:
+        return (_step("X1", ("r1", -b), ("r2", -1)), ("X2", (("X1", -1), ("r1", -1), ("X1", 1))))
+    if b == 0 and c == 1:
+        return (_step("X2", ("r1", 1), ("r2", -a)), ("X1", (("X2", 1), ("r2", 1), ("X2", -1))))
+    if b == 0 and c == -1:
+        return (("X1", (("r2", -1),)), _step("X2", ("X1", -1), ("r1", -1), ("X1", a + 1)))
+    if a + b == 2 * c:  # T5: det = -p^2, so p = -q = +-1
+        if p == 1:
+            return (("Y", (("r1", 1), ("r2", -1))), ("X1", (("r1", 1), ("Y", -c))), _other_output(1))
+        return (("Y", (("r1", -1), ("r2", 1))), ("X1", (("Y", c), ("r1", -1))), _other_output(1))
+    # T2 and T3
     if p == 0 or q == 0:  # det = cq or cp, so |c| = 1 and the other is +-1
         i, j, e = (1, 2, q) if p == 0 else (2, 1, p)
         return (
@@ -165,11 +211,8 @@ def triviality_certificate(t: Tuple3) -> TrivialityCertificate | None:
             (f"X{j}", (("B", e),)),
             _other_output(j),
         )
-    if abs(p) == 1 or abs(q) == 1:
-        # When both are +-1, a +1 pivot is taken: on (0, 0, 1), where
-        # r1 = x2, pivoting on r1 leaves a second valid program one
-        # exponent flip away, and a certificate should have no such twin.
-        i, j, e, f = (1, 2, p, q) if p == 1 or abs(q) != 1 else (2, 1, q, p)
+    if abs(p) == 1 or abs(q) == 1:  # exactly one of them
+        i, j, e, f = (1, 2, p, q) if abs(p) == 1 else (2, 1, q, p)
         d = e * det  # G maps to y^d when r1, r2 -> 1
         return (
             ("y", (("x1", 1), ("x2", 1))),

@@ -315,6 +315,11 @@ class TestBraidText:
                 "braid 2 : ; framings = 0 , -1000001",
                 "framing beyond 1000000 in framings entry '-1000001' at position 2",
             ),
+            # more digits than int() converts by default (4,300)
+            (
+                "braid 2 : ; framings = 0,-" + "7" * 5000,
+                f"framing beyond 1000000 in framings entry '-{'7' * 5000}' at position 2",
+            ),
             # int() and an unflagged \d take these; the grammar is ASCII
             ("braid 2 : ; framings = 1_0,5", "bad framings list '1_0,5'"),
             ("braid 2 : ; framings = 1,\u0665", "bad framings list '1,\u0665'"),
@@ -336,6 +341,7 @@ class TestBraidText:
     def test_zero_padded_numbers(self):
         fp = parse_braid("braid 2 : s01^0002 s1^" + "0" * 5000 + "2 ; framings = 0,0")
         assert fp.braid.letters == (1,) * 4
+        assert parse_braid("braid 2 : ; framings = -" + "0" * 5000 + "7, 000").framings == (-7, 0)
         assert parse_braid("braid " + "0" * 5000 + "2 : s1^2 ; framings = 0,0").n == 2
 
     def test_round_trip_long_runs(self):

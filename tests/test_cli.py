@@ -173,6 +173,14 @@ class TestTuple:
         assert (code, out) == (2, "")
         assert err == "error: expected three comma-separated integers, got '-x,0,0'\n"
 
+    @pytest.mark.parametrize(
+        "argv", [("classify", "1,1,1"), ("tuple", "add", "1,1,1", "1,1,1"), ("tuple", "neg", "1,1,1")]
+    )
+    def test_extra_argument_after_dash_is_echoed_as_typed(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "-1,-3,2", "x")
+        assert (code, out) == (2, "")
+        assert err.endswith("\nartinpres: error: unrecognized arguments: -1,-3,2 x\n")
+
 
 class TestClassify:
     def test_full_line(self, capsys):
@@ -392,6 +400,12 @@ class TestErrorHandling:
     def test_huge_header_or_label_in_file(self, capsys, write, text, message):
         code, out, err = run(capsys, "coset", write("p.txt", text))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_framing_too_long_for_int_in_braid_file(self, capsys, write):
+        framing = "7" * 5000
+        code, out, err = run(capsys, "braid2artin", write("b.txt", f"braid 2 : ; framings = 0,{framing}\n"))
+        assert (code, out) == (2, "")
+        assert err == f"error: framing beyond 1000000 in framings entry '{framing}' at position 2\n"
 
     def test_huge_strand_count_in_braid_file(self, capsys, write):
         text = "braid " + "7" * 5000 + " : s1 ; framings = 0\n"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from artinpres import coset, triangle, twogen, words
 from artinpres.coset import Finite, FinitePresentation, enumerate_cosets
-from artinpres.fourmanifolds import enumerate_trivial
+from artinpres.fourmanifolds import Family, enumerate_trivial, trivial_family
 from artinpres.triangle import (
     GeometryClass,
     TriangleParams,
@@ -252,8 +252,10 @@ class TestTrivialityCertificate:
         assert check_certificate(t, triviality_certificate(t))
 
     def test_every_single_mutation_fails(self):
+        # the T4 and T5 programs have 2 and 3 steps, so the grid reaches
+        # |.| <= 50 to keep the floor on the number of mutants
         checked = 0
-        for t in unimodular(20):
+        for t in unimodular(50):
             certificate = triviality_certificate(t)
             if certificate is None:
                 continue
@@ -261,6 +263,18 @@ class TestTrivialityCertificate:
                 assert not check_certificate(t, mutant), (t, mutant)
                 checked += 1
         assert checked > 4000
+
+    def test_steps_per_family(self):
+        steps = {}
+        for t in enumerate_trivial(50):
+            steps.setdefault(trivial_family(t), set()).add(len(triviality_certificate(t)))
+        assert steps == {
+            Family.T1: {2},
+            Family.T2: {4, 9},
+            Family.T3: {9},
+            Family.T4: {2},
+            Family.T5: {3},
+        }
 
     def test_each_run_is_needed(self):
         # right images but not in the normal closure, and the reverse
