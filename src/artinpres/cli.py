@@ -6,7 +6,9 @@ Exit codes: 0 on success, 1 on domain errors (for example a non-pure braid,
 a triple outside the trivial-group families, or a computation that ran out
 of memory), 2 on usage or parse errors, undecodable input included.  ``main``
 sets every exit code; handlers only print or raise.  Error text goes to
-stderr.  File arguments accept ``-`` for stdin.
+stderr.  File arguments accept ``-`` for stdin.  An argument that starts
+with ``-`` and holds a comma before any ``=`` is a positional, so a triple
+such as ``-1,-3,2`` is never taken for an option and errors echo it as typed.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ def _int_option(text: str) -> int:
     try:
         return _integer(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_as_typed(text)!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _format_path(path: MovePath) -> str:
@@ -146,8 +148,19 @@ def _cmd_export_kirby(args: argparse.Namespace) -> None:
     print(export_kirby(parse_tuple3(args.tuple)))
 
 
+class _Parser(argparse.ArgumentParser):
+    def _parse_optional(self, arg_string: str):
+        # argparse's private hook that tells an option from a positional, and
+        # the one place that knows about dash-led arguments.  No option of
+        # this CLI holds a comma, so a comma before any "=" marks a positional
+        # such as the triple -1,-3,2, while --strategy=-1,2,3 stays an option.
+        if arg_string.startswith("-") and "," in arg_string.partition("=")[0]:
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="artinpres",
         description="Artin presentation toolkit: verification, composition, "
         "braid bridge, coset enumeration, and the two-generator classification.",
@@ -196,7 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cosets", type=_int_option, default=100_000)
     p.add_argument(
         "--strategy",
-        type=_as_typed,
         choices=[s.value for s in Strategy],
         default=Strategy.RELATOR_FIRST.value,
     )
@@ -209,33 +221,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Shielded(str):
-    """An argument that starts with "-" and holds a comma, given a leading
-    space: argparse reads an argument with a space as a positional, and no
-    option of this CLI holds a comma, so a triple like -1,-3,2 is not taken
-    for an option."""
-
-
-def _as_typed(value: object) -> object:
-    """A parsed value as typed: a shielded argument loses its space."""
-    if isinstance(value, list):
-        return list(map(_as_typed, value))
-    return value[1:] if isinstance(value, _Shielded) else value
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = [_Shielded(" " + arg) if arg.startswith("-") and "," in arg else arg for arg in argv]
-    parser = _build_parser()
     try:
-        args, extras = parser.parse_known_args(argv)
-        if extras:  # parse_args's own error would echo the shielding space
-            parser.error(f"unrecognized arguments: {' '.join(_as_typed(extras))}")
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    for name, value in vars(args).copy().items():
-        setattr(args, name, _as_typed(value))
     try:
         args.handler(args)
     except (ParseError, OSError, UnicodeDecodeError) as exc:

@@ -71,9 +71,11 @@ def tuple_neg(t: Tuple3) -> Tuple3:
 
 def parse_tuple3(text: str) -> Tuple3:
     """Parse ``a,b,c``: three comma-separated ASCII integers ``[+-]?[0-9]+``,
-    each with optional surrounding whitespace."""
+    each with optional surrounding whitespace and at most 4,000 digits."""
     try:
         a, b, c = map(_integer, text.split(","))
+    except ParseError:  # a part past the digit cap
+        raise
     except ValueError:
         raise ParseError(f"expected three comma-separated integers, got {text!r}") from None
     return (a, b, c)

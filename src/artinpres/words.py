@@ -150,11 +150,14 @@ def reduce_relators(n: int, relators: Iterable[Iterable[int]]) -> tuple[Word, ..
 
 def format_runs(letters: Sequence[int], symbol: str) -> str:
     """Space-separated ``<symbol><k>`` / ``<symbol><k>^<e>`` tokens, one per
-    run of equal letters; unambiguous on reduced words.
+    run of equal letters; unambiguous on reduced words.  A run longer than
+    MAX_EXPONENT goes out as several tokens of at most MAX_EXPONENT letters,
+    so parse_runs reads every formatted word back.
 
     Cost: the per-letter work runs in C, plus one Python step per run longer
     than one letter.  Adjacent-equal flags are grouped, so each stretch of
-    single letters goes out in one ``extend`` and each long run as one token.
+    single letters goes out in one ``extend`` and each long run as one token
+    per MAX_EXPONENT letters.
     """
     names = {k: f"{symbol}{k}" if k > 0 else f"{symbol}{-k}^-1" for k in set(letters)}
     tokens: list[str] = []
@@ -165,6 +168,9 @@ def format_runs(letters: Sequence[int], symbol: str) -> str:
         if equal:
             tokens.extend(map(names.__getitem__, letters[done:start]))
             k, e = letters[start], flag - start + 1
+            while e > MAX_EXPONENT:
+                tokens.append(f"{symbol}{abs(k)}^{MAX_EXPONENT if k > 0 else -MAX_EXPONENT}")
+                e -= MAX_EXPONENT
             tokens.append(f"{symbol}{abs(k)}^{e if k > 0 else -e}")
             done = flag + 1
     tokens.extend(map(names.__getitem__, letters[done:]))
@@ -218,13 +224,20 @@ def _bounded(digits: str) -> int | None:
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+# Most digits _integer reads, below the 4,300 that int() and str() convert by
+# default, so a sum or a double of two such integers still prints.
+_INTEGER_DIGITS = 4000
 
 
 def _integer(text: str) -> int:
     """int() of an ASCII ``[+-]?[0-9]+`` once stripped; anything else int()
-    takes, such as ``1_0`` or non-ASCII digits, raises ValueError."""
+    takes, such as ``1_0`` or non-ASCII digits, raises ValueError.  More than
+    _INTEGER_DIGITS digits, leading zeros aside, raise ParseError; they are
+    counted before int() is called."""
     if not _INTEGER.fullmatch(text := text.strip()):
         raise ValueError(f"not an integer: {text!r}")
+    if len(text.lstrip("+-").lstrip("0")) > _INTEGER_DIGITS:
+        raise ParseError(f"integer of more than {_INTEGER_DIGITS} digits")
     return int(text)
 
 

@@ -59,6 +59,13 @@ class TestCompose:
         assert code == 0
         assert out == "artin 2\nr1 = x1 x2 x1 x2\nr2 = x1 x2 x1 x2\n"
 
+    def test_run_past_exponent_cap_reads_back(self, capsys, write):
+        path = write("p.txt", "artin 1\nr1 = x1^600000\n")
+        code, out, err = run(capsys, "compose", path, path)
+        assert (code, out, err) == (0, "artin 1\nr1 = x1^1000000 x1^200000\n", "")
+        code, out, err = run(capsys, "verify", write("q.txt", out))
+        assert (code, out, err) == (0, "artin=true defect=1\n", "")
+
     def test_stdin_twice_is_read_once(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(TWIST))
         assert run(capsys, "compose", "-", "-") == run(capsys, "tuple", "build", "2,2,2")
@@ -232,9 +239,7 @@ class TestClassify:
 
     # int() takes 1_0 and non-ASCII digits; a part must be ASCII [+-]?[0-9]+.
     # A triple that starts with "-" is echoed as typed, whatever follows.
-    @pytest.mark.parametrize(
-        "triple", ["1_0,0,1", "\u0665,0,1", "-\u0665,0,1", "-" + "7" * 5000 + ",0,1"]
-    )
+    @pytest.mark.parametrize("triple", ["1_0,0,1", "\u0665,0,1", "-\u0665,0,1"])
     def test_integer_grammar_is_parse_error(self, capsys, triple):
         code, out, err = run(capsys, "classify", triple)
         assert (code, out) == (2, "")
@@ -276,6 +281,11 @@ class TestEnumTrivial:
         code, out, err = run(capsys, "enum-trivial", "--bound", bound)
         assert (code, out) == (2, "")
         assert err.endswith(f"error: argument --bound: invalid int value: {bound!r}\n")
+
+    def test_bound_with_comma_after_equals(self, capsys):
+        code, out, err = run(capsys, "enum-trivial", "--bound=-1,2")
+        assert (code, out) == (2, "")
+        assert err.endswith("\nartinpres enum-trivial: error: argument --bound: invalid int value: '-1,2'\n")
 
     def test_bound_below_one_is_domain_error(self, capsys):
         code, out, err = run(capsys, "enum-trivial", "--bound", "0")
@@ -322,6 +332,20 @@ class TestCoset:
         assert (code, out) == (2, "")
         assert "error: argument --strategy: invalid choice: '-1,2,3' (" in err
 
+    # a comma after "=" leaves --name=value an option, whose value is then checked
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ("--strategy=-1,2,3", "argument --strategy: invalid choice: '-1,2,3' ("),
+            ("--max-cosets=-1,2", "argument --max-cosets: invalid int value: '-1,2'\n"),
+        ],
+        ids=["strategy", "max-cosets"],
+    )
+    def test_option_with_comma_after_equals(self, capsys, write, option, message):
+        code, out, err = run(capsys, "coset", write("p.txt", ICOSAHEDRAL), option)
+        assert (code, out) == (2, "")
+        assert f"\nartinpres coset: error: {message}" in err
+
     def test_max_cosets_below_one_is_domain_error(self, capsys, write):
         code, out, err = run(capsys, "coset", write("p.txt", ICOSAHEDRAL), "--max-cosets", "0")
         assert (code, out, err) == (1, "", "error: max_cosets must be at least 1\n")
@@ -338,6 +362,45 @@ class TestErrorHandling:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ((), "artinpres: error: argument command: invalid choice: '-1,2,3' (choose from 'verify'"),
+            (("tuple",), "artinpres tuple: error: argument action: invalid choice: '-1,2,3' (choose from 'build'"),
+        ],
+        ids=["command", "tuple-action"],
+    )
+    def test_dash_led_choice_is_echoed_as_typed(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv, "-1,2,3")
+        assert (code, out) == (2, "")
+        assert f"\n{message}" in err
+
+    # a triple part has at most 4,000 digits, sign and leading zeros aside, so
+    # that every sum, double and path triple stays below the 4,300 digits str() converts
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "-" + "7" * 5000 + ",0,1"),
+            ("classify", "1" + "0" * 4000 + ",0,1"),
+            ("export-kirby", "0,0,5" + "0" * 4299),
+            ("tuple", "add", "9" * 4300 + ",0,0", "1,0,0"),
+        ],
+        ids=["classify-5000-sevens", "classify-10^4000", "export-kirby-4300", "tuple-add-4300"],
+    )
+    def test_triple_part_past_digit_cap_is_parse_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: integer of more than 4000 digits\n")
+
+    def test_triples_at_digit_cap_print(self, capsys):
+        v, nines = 10**3999, 10**4000 - 1
+        code, out, err = run(capsys, "classify", f"{v + 1},{v - 1},+000{v}")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"family=T5 det=-1 signature=0 parity=odd X4=CP2#mCP2 path=({v + 1},")
+        code, out, err = run(capsys, "export-kirby", f"0,0,-{nines}")
+        assert (code, out, err) == (0, f"strands=2; braid=s1^{-2 * nines}; framings=0,0\n", "")
+        code, out, err = run(capsys, "tuple", "add", f"{nines},-{nines},0", f"{nines},-{nines},1")
+        assert (code, out, err) == (0, f"{2 * nines},-{2 * nines},1\n", "")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/path.txt")

@@ -144,6 +144,12 @@ class TestParseFormat:
     def test_exponent_cap_is_inclusive(self):
         assert parse_word(f"x1^-{MAX_EXPONENT} x2") == (-1,) * MAX_EXPONENT + (2,)
 
+    def test_run_past_exponent_cap_formats_as_several_tokens(self):
+        w = (1,) * (2 * MAX_EXPONENT + 1) + (-2,) * (MAX_EXPONENT + 3)
+        text = format_word(w)
+        assert text == f"x1^{MAX_EXPONENT} x1^{MAX_EXPONENT} x1^1 x2^-{MAX_EXPONENT} x2^-3"
+        assert parse_word(text) == w
+
     def test_bad_token_reports_position(self):
         with pytest.raises(ParseError, match="position 2"):
             parse_word("x1 y3")
