@@ -23,12 +23,14 @@ from .words import (
     MAX_EXPONENT,
     ParseError,
     Word,
+    _WORD_INDEX_ERROR,
     _bounded,
     _join,
+    _reduced,
     format_word,
     invert,
     max_generator,
-    parse_word,
+    parse_runs,
     reduce_relators,
 )
 
@@ -277,7 +279,10 @@ def parse_presentation(text: str) -> tuple[int, tuple[Word, ...]]:
     """Parse the presentation text format into a raw (n, relators) candidate.
 
     Line 1 is ``artin <n>``; the following n lines are ``r<i> = <word>`` in
-    order.  Relators are re-reduced on parse.  No Artin check is performed,
+    order.  Relators are read as parse_word reads them, re-reduced on parse.
+    The largest index among a relator's distinct tokens bounds its letters';
+    only past n is the reduced relator scanned with max_generator, so a
+    token beyond x_n that cancels is accepted.  No Artin check is performed,
     so the result can feed artin_defect directly.  Numbers are read as
     words.parse_runs reads them: n beyond MAX_EXPONENT is a ParseError, and
     a label is matched digit for digit, so no string reaches int() whole.
@@ -298,8 +303,10 @@ def parse_presentation(text: str) -> tuple[int, tuple[Word, ...]]:
         match = _RELATOR_LINE.fullmatch(line)
         if match is None or match.group(1) != str(i):
             raise ParseError(f"expected 'r{i} = <word>', got {line!r}")
-        word = parse_word(match.group(2))
-        if max_generator(word) > n:
+        indices = [0]  # the index of each distinct token
+        tokens, index_ok = match.group(2).split(), lambda k: indices.append(k) or k >= 1
+        word = _reduced(parse_runs(tokens, "x", "word", index_ok, _WORD_INDEX_ERROR, "1"))
+        if max(indices) > n and max_generator(word) > n:
             raise ParseError(f"relator r{i} uses a generator beyond x{n}")
         relators.append(word)
     return n, tuple(relators)

@@ -50,6 +50,8 @@ def _int_option(text: str) -> int:
     """An integer option, read by the ASCII rule of the text grammars."""
     try:
         return _integer(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 

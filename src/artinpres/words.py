@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from itertools import chain, compress, count, groupby, islice
 from operator import add, eq, neg
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 Word = tuple[int, ...]
 
@@ -25,6 +25,17 @@ _MAX_DIGITS = len(str(MAX_EXPONENT))
 
 class ParseError(ValueError):
     """Malformed textual input (word grammar, presentation or braid files)."""
+
+
+class _Memo(dict):
+    """A dict whose missing entry is ``build(key)``, made when the key is first looked up."""
+
+    def __init__(self, build: Callable[[Any], Any]) -> None:
+        self.build = build
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.build(key)
+        return value
 
 
 def _reduced(word: Iterable[int]) -> Word:
@@ -155,11 +166,11 @@ def format_runs(letters: Sequence[int], symbol: str) -> str:
     so parse_runs reads every formatted word back.
 
     Cost: the per-letter work runs in C, plus one Python step per run longer
-    than one letter.  Adjacent-equal flags are grouped, so each stretch of
-    single letters goes out in one ``extend`` and each long run as one token
-    per MAX_EXPONENT letters.
+    than one letter and per distinct letter, named when first met.  Flags
+    are grouped, so each stretch of single letters goes out in one
+    ``extend`` and each long run as one token per MAX_EXPONENT letters.
     """
-    names = {k: f"{symbol}{k}" if k > 0 else f"{symbol}{-k}^-1" for k in set(letters)}
+    names = _Memo(lambda k: f"{symbol}{k}" if k > 0 else f"{symbol}{-k}^-1")
     tokens: list[str] = []
     done = 0  # letters before this index are in tokens
     flag = 0  # flag i says whether letters i and i + 1 are equal
@@ -187,20 +198,19 @@ def parse_runs(
 ) -> Word:
     """Unreduced letters of format_runs tokens; ``identity`` stands for none.
 
-    Each distinct token is parsed once, so errors name the first bad token
-    and its position; ``index_error`` is formatted with both.  A token whose
-    index or exponent exceeds MAX_EXPONENT in absolute value is an error
-    too.  Leading zeros are dropped and the remaining digits counted before
-    int() sees them, so no token is too long for int() to convert.
+    A memo parses each distinct token, ``index_ok`` seeing its index, when
+    the token is first met, so errors name the first bad token and its
+    position; ``index_error`` is formatted with both.  A token whose index
+    or exponent exceeds MAX_EXPONENT in absolute value is an error too.
+    Leading zeros are dropped and the remaining digits counted before int()
+    sees them, so no token is too long for int() to convert.
     """
     pattern = re.compile(rf"{symbol}0*(\d+)(?:\^(-?)0*(\d+))?", re.ASCII)
-    memo: dict[str | None, Word] = {identity: ()}
     beyond = f"beyond {MAX_EXPONENT} in {kind} token {{token!r}} at position {{position}}"
-    for token in dict.fromkeys(tokens):
+
+    def letters(token: str) -> Word:
         match = pattern.fullmatch(token)
         if not match:
-            if token == identity:
-                continue
             message = f"bad {kind} token {{token!r}} at position {{position}}"
         elif (index := _bounded(match.group(1))) is None:
             message = "index " + beyond
@@ -209,9 +219,11 @@ def parse_runs(
         elif (exponent := _bounded(match.group(3) or "1")) is None:
             message = "exponent " + beyond
         else:
-            memo[token] = generator_power(index, -exponent if match.group(2) else exponent)
-            continue
+            return generator_power(index, -exponent if match.group(2) else exponent)
         raise ParseError(message.format(token=token, position=tokens.index(token) + 1))
+
+    memo = _Memo(letters)
+    memo[identity] = ()
     return tuple(chain.from_iterable(map(memo.__getitem__, tokens)))
 
 
@@ -241,6 +253,9 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+_WORD_INDEX_ERROR = "generator index must be >= 1 in token {token!r} at position {position}"
+
+
 def parse_word(text: str) -> Word:
     """Parse whitespace-separated ``x<k>`` / ``x<k>^<e>`` tokens.
 
@@ -251,8 +266,7 @@ def parse_word(text: str) -> Word:
     tokens = text.split()
     if not tokens:
         raise ParseError("empty word text; write '1' for the identity")
-    message = "generator index must be >= 1 in token {token!r} at position {position}"
-    return _reduced(parse_runs(tokens, "x", "word", lambda k: k >= 1, message, "1"))
+    return _reduced(parse_runs(tokens, "x", "word", lambda k: k >= 1, _WORD_INDEX_ERROR, "1"))
 
 
 def format_word(word: Word) -> str:

@@ -517,6 +517,43 @@ class TestPresentationText:
         with pytest.raises(ParseError):
             parse_presentation("artin 1\nr1 = x2")
 
+    # the range check is on the reduced relator: a token past x_n that
+    # cancels, or has exponent 0, leaves no letter beyond x_n
+    @pytest.mark.parametrize("relator", ["x3 x3^-1", "x3^0", "x1 x3^2 x3^-2 x1^-1"])
+    def test_cancelled_generator_beyond_n_is_accepted(self, relator):
+        assert parse_presentation(f"artin 2\nr1 = {relator}\nr2 = 1") == (2, ((), ()))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("artin 2\nr1 = x3\nr2 = 1", "relator r1 uses a generator beyond x2"),
+            ("artin 2\nr1 = x1\nr2 = x3^0 x2 x3^-1", "relator r2 uses a generator beyond x2"),
+        ],
+    )
+    def test_generator_beyond_n_names_the_relator(self, text, message):
+        with pytest.raises(ParseError) as caught:
+            parse_presentation(text)
+        assert str(caught.value) == message
+
+    # tokens are parsed in order, so the first bad one is named by its
+    # position, also when a later one is bad too or lies beyond x_n
+    @pytest.mark.parametrize(
+        "relator, message",
+        [
+            ("x1 q x1 x0", "bad word token 'q' at position 2"),
+            ("x1 x0 x1 q", "generator index must be >= 1 in token 'x0' at position 2"),
+            (
+                "x2 x1^1000001 q x1^1000001",
+                "exponent beyond 1000000 in word token 'x1^1000001' at position 2",
+            ),
+            ("x3 x2 q y", "bad word token 'q' at position 3"),
+        ],
+    )
+    def test_first_bad_token_is_named(self, relator, message):
+        with pytest.raises(ParseError) as caught:
+            parse_presentation(f"artin 2\nr1 = x1\nr2 = {relator}")
+        assert str(caught.value) == message
+
     def test_misnumbered_relator(self):
         with pytest.raises(ParseError):
             parse_presentation("artin 2\nr1 = x1\nr3 = x2")

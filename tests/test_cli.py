@@ -282,6 +282,17 @@ class TestEnumTrivial:
         assert (code, out) == (2, "")
         assert err.endswith(f"error: argument --bound: invalid int value: {bound!r}\n")
 
+    # past 4,000 digits, sign and leading zeros aside, the error names the cap
+    # as a triple part's does, and does not echo the digits
+    @pytest.mark.parametrize(
+        "bound", ["9" * 4001, "-" + "0" * 10 + "7" * 5000], ids=["4001-nines", "negative-5000-sevens"]
+    )
+    def test_bound_past_digit_cap_names_the_cap(self, capsys, bound):
+        code, out, err = run(capsys, "enum-trivial", "--bound", bound)
+        assert (code, out) == (2, "")
+        assert err.endswith("\nartinpres enum-trivial: error: argument --bound: integer of more than 4000 digits\n")
+        assert "7" * 4001 not in err and "9" * 4001 not in err
+
     def test_bound_with_comma_after_equals(self, capsys):
         code, out, err = run(capsys, "enum-trivial", "--bound=-1,2")
         assert (code, out) == (2, "")
@@ -326,6 +337,11 @@ class TestCoset:
         code, out, err = run(capsys, "coset", write("p.txt", ICOSAHEDRAL), "--max-cosets", budget)
         assert (code, out) == (2, "")
         assert err.endswith(f"error: argument --max-cosets: invalid int value: {budget!r}\n")
+
+    def test_max_cosets_past_digit_cap_names_the_cap(self, capsys, write):
+        code, out, err = run(capsys, "coset", write("p.txt", ICOSAHEDRAL), "--max-cosets=" + "9" * 4001)
+        assert (code, out) == (2, "")
+        assert err.endswith("\nartinpres coset: error: argument --max-cosets: integer of more than 4000 digits\n")
 
     def test_strategy_error_echoes_value_as_typed(self, capsys, write):
         code, out, err = run(capsys, "coset", write("p.txt", ICOSAHEDRAL), "--strategy", "-1,2,3")

@@ -1,4 +1,5 @@
-from itertools import groupby
+import re
+from itertools import chain, groupby
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from artinpres.words import (
     MAX_EXPONENT,
     ParseError,
+    _bounded,
     concat,
     conjugate,
     exponent_sum,
@@ -16,6 +18,7 @@ from artinpres.words import (
     generator_power,
     invert,
     max_generator,
+    parse_runs,
     parse_word,
     substitute,
 )
@@ -424,3 +427,89 @@ class TestFormatRunsAgainstGroupby:
         w = (1,) * 100_000 + (-2,) * 3
         assert format_word(w) == "x1^100000 x2^-3"
         assert parse_word("x1^100000 x2^-3") == w
+
+
+# Reference: parse_runs as it was before its memo built each entry on first
+# lookup, with a dict.fromkeys pass over the tokens to parse each distinct one
+# and a chain.from_iterable expansion.  The new parser must return the same
+# letters, or raise the same ParseError text, on every token list.
+
+
+def reference_parse_runs(tokens, symbol, kind, index_ok, index_error, identity=None):
+    pattern = re.compile(rf"{symbol}0*(\d+)(?:\^(-?)0*(\d+))?", re.ASCII)
+    memo = {identity: ()}
+    beyond = f"beyond {MAX_EXPONENT} in {kind} token {{token!r}} at position {{position}}"
+    for token in dict.fromkeys(tokens):
+        match = pattern.fullmatch(token)
+        if not match:
+            if token == identity:
+                continue
+            message = f"bad {kind} token {{token!r}} at position {{position}}"
+        elif (index := _bounded(match.group(1))) is None:
+            message = "index " + beyond
+        elif not index_ok(index):
+            message = index_error
+        elif (exponent := _bounded(match.group(3) or "1")) is None:
+            message = "exponent " + beyond
+        else:
+            memo[token] = generator_power(index, -exponent if match.group(2) else exponent)
+            continue
+        raise ParseError(message.format(token=token, position=tokens.index(token) + 1))
+    return tuple(chain.from_iterable(map(memo.__getitem__, tokens)))
+
+
+# the two grammars: word tokens x<k>^<e> with the identity 1, and braid
+# tokens s<k>^<e> on 4 strands with no identity token
+GRAMMARS = {
+    "x": (
+        "word",
+        lambda k: k >= 1,
+        "generator index must be >= 1 in token {token!r} at position {position}",
+        "1",
+    ),
+    "s": ("braid", lambda k: 1 <= k < 4, "crossing index must be in 1..3 in token {token!r}", None),
+}
+PAST_CAP = [str(MAX_EXPONENT + 1), "7" * 5000]
+
+
+def mostly(common, rare):
+    """Draws from ``common`` nine times in ten, else from ``rare``."""
+    return st.integers(0, 9).flatmap(lambda i: rare if i == 0 else common)
+
+
+padding = mostly(st.just(""), st.sampled_from(["0", "000", "0" * 5000]))
+# exponents stay small or past the cap, so no drawn word is long
+exponent_texts = mostly(st.integers(0, 40).map(str), st.sampled_from(PAST_CAP))
+exponent_parts = st.one_of(
+    st.just(""),
+    st.builds("^{}{}{}".format, st.sampled_from(["", "-"]), padding, exponent_texts),
+)
+odd_indices = st.sampled_from(["0", "4", "5", str(MAX_EXPONENT)] + PAST_CAP)
+index_texts = mostly(st.integers(1, 3).map(str), odd_indices)
+
+
+def token_lists(symbol):
+    runs = st.builds(f"{symbol}{{}}{{}}{{}}".format, padding, index_texts, exponent_parts)
+    # an odd index and an exponent past the cap in one token: the checks' order decides the error
+    odd_runs = st.builds(f"{symbol}{{}}{{}}^{{}}".format, padding, odd_indices, st.sampled_from(PAST_CAP))
+    other = "s" if symbol == "x" else "x"
+    malformed = st.sampled_from(
+        ["y2", symbol, f"{symbol}1^", f"{symbol}-1", f"{symbol}1^+2", f"{symbol}\u0661",
+         f"{symbol}1^--1", f"{other}2", "^2", f"{symbol}1^2^3"]
+    )
+    return st.lists(mostly(runs, st.one_of(st.just("1"), malformed, odd_runs)), max_size=12)
+
+
+class TestParseRunsAgainstReference:
+    @given(st.sampled_from("xs").flatmap(lambda s: st.tuples(st.just(s), token_lists(s))))
+    def test_same_letters_or_error(self, drawn):
+        symbol, tokens = drawn
+        args = (tokens, symbol, *GRAMMARS[symbol])
+        try:
+            expected = reference_parse_runs(*args)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as caught:
+                parse_runs(*args)
+            assert str(caught.value) == str(exc)
+        else:
+            assert parse_runs(*args) == expected
