@@ -17,6 +17,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from math import gcd
+from operator import sub
 from typing import Sequence
 
 from .words import (
@@ -231,44 +233,75 @@ def abelianization_invariants(matrix: ExponentMatrix) -> tuple[int, ...]:
 
 
 def _smith_diagonal(entries: tuple[tuple[int, ...], ...]) -> list[int]:
-    # One smallest-pivot loop over Z: move the least nonzero entry of the
-    # trailing block to the pivot, divide its row and column by it, and add
-    # in a row with an entry it does not divide.  Each repeat leaves a
-    # remainder smaller than the pivot, so the loop ends, and a finished
-    # pivot divides the block after it, so the diagonal is a divisor chain.
-    m = [list(row) for row in entries]
-    size = len(m)
+    # Diagonalize over Z, then sort the diagonal into a divisor chain.  The
+    # least nonzero entry of the block moves to the top left as the pivot.
+    # A row below loses a multiple of the top row when the pivot divides its
+    # first entry; otherwise one unimodular Bezout step on the two rows puts
+    # their gcd in the pivot's place and 0 below it.  A top-row entry the
+    # pivot does not divide gets the same step on columns, which may refill
+    # the first column, so that repeats with a smaller pivot.  Once the
+    # pivot divides its whole row, clearing that row changes nothing else,
+    # so the pivot splits off from the block after it.
+    block = [list(row) for row in entries]
+    size = len(block)
     diagonal: list[int] = []
-    t = 0
-    while t < size:
-        block = [(abs(m[i][j]), i, j) for i in range(t, size) for j in range(t, size) if m[i][j]]
-        if not block:
-            return diagonal + [0] * (size - t)
-        _, pi, pj = min(block)
-        m[t], m[pi] = m[pi], m[t]
-        for row in m:
-            row[t], row[pj] = row[pj], row[t]
-        pivot = m[t][t]
-        for i in range(t + 1, size):
-            q = m[i][t] // pivot
-            for j in range(t, size):
-                m[i][j] -= q * m[t][j]
-        for j in range(t + 1, size):
-            q = m[t][j] // pivot
-            for i in range(t, size):
-                m[i][j] -= q * m[i][t]
-        if any(m[i][t] or m[t][i] for i in range(t + 1, size)):
-            continue
-        offender = next(
-            (i for i in range(t + 1, size) for j in range(t + 1, size) if m[i][j] % pivot),
-            None,
-        )
-        if offender is None:
-            diagonal.append(abs(pivot))
-            t += 1
-        else:
-            m[t] = [x + y for x, y in zip(m[t], m[offender])]
+    while block:
+        width = len(block)
+        flat = [abs(x) for row in block for x in row]
+        least = min(filter(None, flat), default=0)
+        if not least:
+            break
+        pi, pj = divmod(flat.index(least), width)
+        block[0], block[pi] = block[pi], block[0]
+        if pj:
+            for row in block:
+                row[0], row[pj] = row[pj], row[0]
+        while True:
+            top = block[0]
+            pivot = top[0]
+            for i in range(1, width):
+                row = block[i]
+                a = row[0]
+                if not a:
+                    continue
+                q, r = divmod(a, pivot)
+                if r:
+                    pivot, x, y = _bezout(pivot, a)
+                    u, v = top[0] // pivot, a // pivot
+                    block[i] = [u * s - v * t for t, s in zip(top, row)]
+                    block[0] = top = [x * t + y * s for t, s in zip(top, row)]
+                else:
+                    block[i] = list(map(sub, row, map(q.__mul__, top)))
+            j = next((j for j, b in enumerate(top) if b % pivot), 0)
+            if not j:
+                break
+            g, x, y = _bezout(pivot, top[j])
+            u, v = pivot // g, top[j] // g
+            for row in block:
+                row[0], row[j] = x * row[0] + y * row[j], u * row[j] - v * row[0]
+        diagonal.append(abs(pivot))
+        block = [row[1:] for row in block[1:]]
+    diagonal += [0] * (size - len(diagonal))
+    # diag(d, e) and diag(gcd, lcm) are equivalent; after the sweep each
+    # entry divides every later one, and the zeros come last
+    for i in range(size):
+        for j in range(i + 1, size):
+            g = gcd(diagonal[i], diagonal[j])
+            if g != diagonal[i]:
+                diagonal[i], diagonal[j] = g, diagonal[i] // g * diagonal[j]
     return diagonal
+
+
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x a + y b = g, where g is a gcd of a and b of
+    either sign."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
 
 
 _HEADER = re.compile(r"artin\s+0*(\d+)", re.ASCII)

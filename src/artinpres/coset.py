@@ -7,19 +7,28 @@ strategy passes it.  The table holds the budget and refuses the
 definition that would pass it, so infinite groups come back as Exceeded,
 which callers must treat as "no information", never as "infinite".
 
-The table keeps one row per coset, a list of its 2 * ngens entries, so a
-scan step is one subscript of a row.  A coincidence folds each dead row
-into its representative and then releases it, so memory follows the live
-cosets, not every coset ever defined, and no coset is renumbered.  The
-merge, _merge, takes two distinct live cosets, the only kind a walk along
-live rows finds, and in its fold resolves representatives inline, calling
-the compressing find only for a coset more than one step from its
-representative.  Each strategy makes one scan call per coset it traces,
-against all the relators that apply there.  Both share one scan: one
-forward walk per relator, and a backward walk from the far end only where
-the forward walk meets an undefined entry.  Relator-first scans the cosets in increasing order, so
-its forward walk around a proper power u^m stops after one u when that
-reaches a coset scanned before, whose closed cycle runs through here.
+The table keeps one row per coset, a list of its entries, so a scan step is
+one subscript of a row.  A generator g with g^2 or g^-2 among the relators
+is an involution and gets one column, its own inverse; every other
+generator gets two, one for g and one for g^-1.  The relators are folded
+onto the columns once: g^-1 reads as g for an involution and adjacent g g
+cancel, so g^2 vanishes, since the column enforces it.  Defining one entry
+of an involution's column then defines the one coset the group has there,
+where two columns would make two and leave a merge to remove the spare.
+
+A coincidence folds each dead row into its representative and then
+releases it, so memory follows the live cosets, not every coset ever
+defined, and no coset is renumbered.  The merge, _merge, takes two
+distinct live cosets, the only kind a walk along live rows finds, and in
+its fold resolves representatives inline, calling the compressing find
+only for a coset more than one step from its representative.  Each
+strategy makes one scan call per coset it traces, against all the
+relators that apply there.  Both share one scan: one forward walk per
+relator, and a backward walk from the far end only where the forward walk
+meets an undefined entry.  Relator-first scans the cosets in increasing
+order, so its forward walk around a proper power u^m stops after one u
+when that reaches a coset scanned before, whose closed cycle runs through
+here.
 
 Two deterministic strategies are provided (Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, ch. 5).  RELATOR_FIRST is the
@@ -32,10 +41,10 @@ live rows only gain entries.  Every entry the table gains, by a definition, a
 deduction or a coincidence, goes on a stack of deductions together with its
 inverse entry.  Processing one scans, at its coset, only the cyclic
 conjugates of the relators that begin with its column; with both entries
-pushed, that covers every relator cycle through the new edge, in either
-direction.  No edge leads into the cycle of a length-1 relator before the
-scan that closes it, so each new coset is also scanned once against the
-length-1 relators.  When the stack runs dry, the table is closed under
+pushed (in one column for an involution), that covers every relator cycle
+through the new edge, in either direction.  No edge leads into the cycle
+of a length-1 relator before the scan that closes it, so each new coset is
+also scanned once against the length-1 relators.  When the stack runs dry, the table is closed under
 every deduction and coincidence the relators force, so exactly the cosets
 are defined that a rescan of every coset against every relator between
 definitions would define.  Both strategies agree on the group order
@@ -44,6 +53,7 @@ whenever both terminate.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -103,8 +113,10 @@ EnumResult = Finite | Exceeded
 
 # A relator compiled for scanning: its letters as (index, column) pairs,
 # split after the first period of a proper power (the second part is empty
-# otherwise), and the column of each letter's inverse, read backward.
-_Compiled = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], tuple[int, ...]]
+# otherwise), then the column of each letter, and the column of each
+# letter's inverse, read backward.
+_Steps = tuple[tuple[int, int], ...]
+_Compiled = tuple[_Steps, _Steps, tuple[int, ...], tuple[int, ...]]
 
 
 class _BudgetExhausted(Exception):
@@ -114,10 +126,13 @@ class _BudgetExhausted(Exception):
 class CosetTable:
     """Partial multiplication table on cosets of the trivial subgroup.
 
-    rows[c] is the row of coset c: a list of 2 * ngens entries, -1 marking
-    an undefined one.  Columns alternate generator and inverse: column
-    2(k-1) holds the x_k image, column 2(k-1)+1 the x_k^-1 image, so
-    column ^ 1 is the inverse column.  Every entry has its inverse entry.
+    rows[c] is the row of coset c: a list of ncols entries, -1 marking an
+    undefined one.  columns maps each letter to its column and inverse each
+    column to the column of the inverse letter.  The generators take their
+    columns in order: x_k one column that is its own inverse when k is
+    among the involutions given to the constructor, else a column for x_k
+    followed by one for x_k^-1.  Every entry has its inverse entry; in a
+    self-inverse column, the edge c -> d is the entry of both c and d.
 
     Coincidences are handled by union-find with the smaller coset as
     representative, so coset 0 never dies.  A merge folds each dead row
@@ -137,10 +152,20 @@ class CosetTable:
     same way; the Felsch loop in _definition_first drains it.
     """
 
-    def __init__(self, ngens: int, max_cosets: int) -> None:
+    def __init__(self, ngens: int, max_cosets: int, involutions: Collection[int] = ()) -> None:
         self.ngens = ngens
         self.max_cosets = max_cosets
-        self.ncols = 2 * ngens
+        self.columns: dict[int, int] = {}
+        self.inverse: list[int] = []
+        for k in range(1, ngens + 1):
+            column = len(self.inverse)
+            if k in involutions:
+                self.columns[k] = self.columns[-k] = column
+                self.inverse.append(column)
+            else:
+                self.columns[k], self.columns[-k] = column, column + 1
+                self.inverse += (column + 1, column)
+        self.ncols = len(self.inverse)
         self.rows: list[list[int] | None] = [[-1] * self.ncols]
         self.parent: list[int] = [0]
         self.live = 1
@@ -149,9 +174,21 @@ class CosetTable:
         self.coincidences = 0
         self.deductions: list[int] | None = None
 
-    @staticmethod
-    def column(letter: int) -> int:
-        return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
+    def column(self, letter: int) -> int:
+        return self.columns[letter]
+
+    def fold(self, word: Word) -> tuple[int, ...]:
+        """The columns a scan of the word follows, freely reduced on the
+        inverse map: an involution's x_k^-1 reads as x_k, and x_k x_k
+        cancels."""
+        inverse = self.inverse
+        path: list[int] = []
+        for column in map(self.columns.__getitem__, word):
+            if path and path[-1] == inverse[column]:
+                path.pop()
+            else:
+                path.append(column)
+        return tuple(path)
 
     def rep(self, coset: int) -> int:
         parent = self.parent
@@ -172,8 +209,9 @@ class CosetTable:
         new = self.defined
         if new == self.max_cosets:
             raise _BudgetExhausted
+        back = self.inverse[column]
         row = [-1] * self.ncols
-        row[column ^ 1] = coset
+        row[back] = coset
         rows = self.rows
         rows[coset][column] = new
         rows.append(row)
@@ -184,7 +222,7 @@ class CosetTable:
             self.peak_live = live
         if self.deductions is not None:
             n = self.ncols
-            self.deductions += (coset * n + column, new * n + (column ^ 1))
+            self.deductions += (coset * n + column, new * n + back)
         return new
 
     def _merge(self, a: int, b: int) -> None:
@@ -199,18 +237,19 @@ class CosetTable:
         per find.
         """
         self.coincidences += 1
-        rows, parent, rep = self.rows, self.parent, self.rep
+        rows, parent, rep, inverse = self.rows, self.parent, self.rep, self.inverse
         if b < a:
             a, b = b, a
         parent[b] = a
         dead = [b]
         for gamma in dead:  # the unions below append while this loop runs
             # enumerate reads the row as it goes: a loop at gamma clears
-            # the inverse entry ahead of the walk
+            # the inverse entry ahead of the walk, or in a self-inverse
+            # column the entry just read
             for column, delta in enumerate(rows[gamma]):
                 if delta < 0:
                     continue
-                back = column ^ 1
+                back = inverse[column]
                 rows[delta][back] = -1
                 mu = parent[gamma]
                 if parent[mu] != mu:
@@ -243,7 +282,7 @@ class CosetTable:
             for mu in dict.fromkeys(map(rep, dead)):
                 for column, target in enumerate(rows[mu]):
                     if target >= 0:
-                        self.deductions += (mu * n + column, target * n + (column ^ 1))
+                        self.deductions += (mu * n + column, target * n + inverse[column])
 
     def _scan(self, coset: int, relators: list[_Compiled]) -> None:
         """Trace, in order, the cycle each compiled relator forces at a
@@ -268,7 +307,7 @@ class CosetTable:
         rows, parent, deductions, n = self.rows, self.parent, self.deductions, self.ncols
         if parent[coset] != coset:
             return
-        for head, tail, backward in relators:
+        for head, tail, forward, backward in relators:
             f = coset
             for i, column in head:
                 nxt = rows[f][column]
@@ -308,7 +347,7 @@ class CosetTable:
                         if parent[coset] != coset:
                             return
                     break
-                column = backward[i] ^ 1
+                column = forward[i]
                 if i == j:
                     rows[f][column] = b
                     rows[b][backward[i]] = f
@@ -318,8 +357,8 @@ class CosetTable:
                 if deductions is not None:
                     break
                 # the new coset's one entry is the inverse of letter i; the
-                # relators are freely reduced, so letter i + 1 is not that
-                # inverse, and a forward walk could not leave the new coset
+                # relators are folded, so letter i + 1 is not that inverse,
+                # and a forward walk could not leave the new coset
                 f = self._define(f, column)
                 i += 1
 
@@ -329,7 +368,7 @@ class CosetTable:
         live coset whose inverse entry points straight back.  So a walk
         along the table meets live cosets only, which is what _merge
         requires of its two arguments.  Assertable between scans."""
-        rows, parent = self.rows, self.parent
+        rows, parent, inverse = self.rows, self.parent, self.inverse
         if len(rows) != self.defined:
             raise AssertionError(f"{len(rows)} rows for {self.defined} cosets")
         for coset, row in enumerate(rows):
@@ -340,20 +379,25 @@ class CosetTable:
                 continue
             for column, target in enumerate(row):
                 if target >= 0 and (
-                    parent[target] != target or rows[target][column ^ 1] != coset
+                    parent[target] != target or rows[target][inverse[column]] != coset
                 ):
                     raise AssertionError(
                         f"table inconsistent at coset {coset}, column {column}"
                     )
 
 
-def _compile(word: Word, period: int = 0) -> _Compiled:
-    steps = tuple(enumerate(map(CosetTable.column, word)))
+def _compile(path: tuple[int, ...], inverse: list[int], period: int = 0) -> _Compiled:
+    steps = tuple(enumerate(path))
     period = period or len(steps)
-    return steps[:period], steps[period:], tuple(column ^ 1 for _, column in steps)
+    return steps[:period], steps[period:], path, tuple(map(inverse.__getitem__, path))
 
 
-def _power_period(word: Word) -> int:
+def _involutions(relators: Iterable[Word]) -> set[int]:
+    """The generators g with g^2 or g^-2 among the (reduced) relators."""
+    return {abs(r[0]) for r in relators if len(r) == 2 and r[0] == r[1]}
+
+
+def _power_period(word: Sequence[int]) -> int:
     """The length of the shortest u with word = u^m for some m >= 2, or 0
     when the word is no proper power."""
     n = len(word)
@@ -380,8 +424,8 @@ def enumerate_cosets(
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
-    relators = tuple(r for r in presentation.relators if r)
-    table = CosetTable(presentation.ngens, max_cosets)
+    relators = presentation.relators
+    table = CosetTable(presentation.ngens, max_cosets, _involutions(relators))
     run = _relator_first if strategy is Strategy.RELATOR_FIRST else _definition_first
     try:
         run(table, relators)
@@ -391,7 +435,8 @@ def enumerate_cosets(
 
 
 def _relator_first(table: CosetTable, relators: tuple[Word, ...]) -> None:
-    compiled = [_compile(r, _power_period(r)) for r in relators]
+    paths = [p for p in map(table.fold, relators) if p]
+    compiled = [_compile(p, table.inverse, _power_period(p)) for p in paths]
     rows, parent = table.rows, table.parent
     alpha = 0
     while alpha < table.defined:
@@ -410,17 +455,18 @@ def _definition_first(table: CosetTable, relators: tuple[Word, ...]) -> None:
     # every distinct cyclic conjugate of each relator, filed under the column
     # of its first letter; entries are pushed both ways, so a cycle through
     # an entry is found in whichever direction it runs
+    paths = [p for p in map(table.fold, relators) if p]
     by_column: list[list[_Compiled]] = [[] for _ in range(n)]
-    seen: set[Word] = set()
-    for relator in relators:
-        for i in range(len(relator)):
-            conjugate = relator[i:] + relator[:i]
+    seen: set[tuple[int, ...]] = set()
+    for path in paths:
+        for i in range(len(path)):
+            conjugate = path[i:] + path[:i]
             if conjugate not in seen:
                 seen.add(conjugate)
-                by_column[table.column(conjugate[0])].append(_compile(conjugate))
+                by_column[conjugate[0]].append(_compile(conjugate, table.inverse))
     # no table entry leads into a length-1 relator's cycle before the scan
     # that defines it, so each new coset is scanned against them directly
-    short = [_compile(r) for r in relators if len(r) == 1]
+    short = [_compile(p, table.inverse) for p in paths if len(p) == 1]
     rows = table.rows
     stack = table.deductions = []
     new = 0

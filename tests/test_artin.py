@@ -1,5 +1,6 @@
 import random
-from itertools import chain
+from itertools import chain, combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -483,6 +484,52 @@ class TestSmithAgainstReference:
     @given(square_matrices())
     def test_same_diagonal(self, entries):
         assert _smith_diagonal(entries) == smith_diagonal_reference(entries)
+
+
+def laplace_det(rows):
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * laplace_det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x
+    )
+
+
+def determinantal_divisors(entries):
+    """d_k, the gcd of the k x k minors, for k = 1 .. n."""
+    n = len(entries)
+    return [
+        gcd(
+            *(
+                laplace_det([[entries[i][j] for j in cols] for i in rows])
+                for rows in combinations(range(n), k)
+                for cols in combinations(range(n), k)
+            )
+        )
+        for k in range(1, n + 1)
+    ]
+
+
+class TestSmithAgainstDeterminantalDivisors:
+    """The Smith diagonal is s_k = d_k / d_(k-1), with d_0 = 1 and s_k = 0
+    once d_k = 0, whatever the elimination order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices().filter(lambda m: len(m) <= 4))
+    def test_quotients_of_divisors(self, entries):
+        divisors = [1] + determinantal_divisors(entries)
+        expected = [d // c if d else 0 for c, d in zip(divisors, divisors[1:])]
+        assert _smith_diagonal(entries) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices())
+    def test_product_and_chain(self, entries):
+        diagonal = _smith_diagonal(entries)
+        assert prod(diagonal) == abs(laplace_det([list(row) for row in entries]))
+        assert all(d >= 0 for d in diagonal)
+        for first, second in zip(diagonal, diagonal[1:]):
+            assert second % first == 0 if first else second == 0
 
 
 class TestPresentationText:

@@ -13,6 +13,11 @@ GOLDEN = Path(__file__).parent / "golden"
 SRC = str(Path(artinpres.__file__).parent.parent)
 
 ICOSAHEDRAL = "artin 2\nr1 = x1^-2 x2 x1 x2\nr2 = x2^-5 x1 x2 x1 x2\n"
+# <x1, x2 | x1^2, (x1 x2)^5 = x2^3>: x2^3 commutes with x2 and with x1 x2,
+# so the group is a central extension of T(2,3,5), of order 480; x1 is an
+# involution, and T(2,3,5) itself needs three relators, which the
+# "artin <n>" format does not hold
+INVOLUTION = "artin 2\nr1 = x1^2\nr2 = x1 x2 x1 x2 x1 x2 x1 x2 x1 x2^-2\n"
 TWIST = "artin 2\nr1 = x1 x2\nr2 = x1 x2\n"
 NON_ARTIN = "artin 2\nr1 = x1\nr2 = x1\n"
 # an exponent whose word is too long to index: building it overflows
@@ -313,6 +318,16 @@ class TestCoset:
         code, out, _ = run(capsys, "coset", write("p.txt", ICOSAHEDRAL))
         assert code == 0
         assert out == "order=120 cosets=386\n"
+
+    @pytest.mark.parametrize(
+        "strategy, out",
+        [("relator-first", "order=480 cosets=529\n"), ("definition-first", "order=480 cosets=495\n")],
+    )
+    def test_involution_presentation(self, capsys, write, strategy, out):
+        # x1 takes one self-inverse table column; with two, relator-first
+        # defined 685 cosets
+        code, stdout, _ = run(capsys, "coset", write("p.txt", INVOLUTION), "--strategy", strategy)
+        assert (code, stdout) == (0, out)
 
     def test_definition_first_strategy(self, capsys, write):
         code, out, _ = run(

@@ -1,3 +1,4 @@
+from math import factorial
 from operator import mul
 from unittest.mock import patch
 
@@ -13,6 +14,7 @@ from artinpres.coset import (
     Strategy,
     _BudgetExhausted,
     _definition_first,
+    _involutions,
     _power_period,
     _relator_first,
     enumerate_cosets,
@@ -171,11 +173,11 @@ class TestPinnedDefinitions:
     @pytest.mark.parametrize(
         "presentation, relator_first, definition_first",
         [
-            (T235, Finite(60, 82), Finite(60, 60)),
+            (T235, Finite(60, 66), Finite(60, 60)),
             (presentation_of((-1, -3, 2)), Finite(120, 386), Finite(120, 263)),
-            (PSL27, Finite(168, 542), Finite(168, 168)),
-            (coxeter_symmetric(5), Finite(120, 220), Finite(120, 120)),
-            (coxeter_symmetric(6), Finite(720, 1513), Finite(720, 720)),
+            (PSL27, Finite(168, 268), Finite(168, 168)),
+            (coxeter_symmetric(5), Finite(120, 129), Finite(120, 120)),
+            (coxeter_symmetric(6), Finite(720, 825), Finite(720, 720)),
             (Q8, Finite(8, 8), Finite(8, 8)),
             (COINCIDENT, Finite(1, 12), Finite(1, 10)),
             # a length-1 relator: no table edge ever triggers its scan
@@ -192,14 +194,14 @@ class TestPinnedDefinitions:
 
 class TestBudget:
     def test_monotone_budget(self):
-        # the run closes after defining exactly 82 cosets
-        closure = enumerate_cosets(T235, max_cosets=82)
-        assert closure == Finite(60, 82)
-        for budget in (83, 200, 100_000):
+        # the run closes after defining exactly 66 cosets
+        closure = enumerate_cosets(T235, max_cosets=66)
+        assert closure == Finite(60, 66)
+        for budget in (67, 200, 100_000):
             assert enumerate_cosets(T235, max_cosets=budget) == closure
 
     def test_exhausted_budget(self):
-        assert enumerate_cosets(T235, max_cosets=81) == Exceeded(81)
+        assert enumerate_cosets(T235, max_cosets=65) == Exceeded(65)
 
     def test_exhausted_budget_on_trivial_group(self):
         # r(5,1,2) is trivial, but two cosets are not enough to show it
@@ -218,10 +220,47 @@ class TestTableInternals:
         assert isinstance(result, Finite) and result.order == 60
 
     def test_column_layout(self):
-        assert CosetTable.column(1) == 0
-        assert CosetTable.column(-1) == 1
-        assert CosetTable.column(3) == 4
-        assert CosetTable.column(-3) == 5
+        table = CosetTable(3, 10)
+        assert [table.column(k) for k in (1, -1, 3, -3)] == [0, 1, 4, 5]
+        assert (table.ncols, table.inverse) == (6, [1, 0, 3, 2, 5, 4])
+
+    def test_involution_layout(self):
+        # x2 takes one column, its own inverse, and shifts x3's two
+        table = CosetTable(3, 10, {2})
+        assert [table.column(k) for k in (1, -1, 2, -2, 3, -3)] == [0, 1, 2, 2, 3, 4]
+        assert (table.ncols, table.inverse) == (5, [1, 0, 2, 4, 3])
+
+    def test_involutions_found_from_squares(self):
+        relators = ((1, 1), (-3, -3), (2, 2, 2), (1, 2) * 2, (2, -2))
+        assert _involutions(relators) == {1, 3}
+
+    @pytest.mark.parametrize(
+        "word, path",
+        [
+            ((2, 2), ()),
+            ((-2, -2), ()),
+            ((1, -2, 1, 2), (0, 2, 0, 2)),
+            # x2^-1 x2^-1 folds to x2 x2, which cancels, and then x1^-1 x1
+            ((1, 2, -2, -1), ()),
+            ((-1, -2, -2, 1), ()),
+            ((1, 2, 2, 2, -1), (0, 2, 1)),
+            ((1, 1), (0, 0)),
+        ],
+    )
+    def test_fold(self, word, path):
+        assert CosetTable(2, 10, {2}).fold(word) == path
+
+    def test_self_inverse_column_entries(self):
+        # one definition makes both entries of the edge 0 -x1- 1, and a
+        # fixed point is a single entry
+        table = CosetTable(2, 10, {1})
+        first = table.define(0, -1)
+        assert table.rows == [[1, -1, -1], [0, -1, -1]]
+        table.rows[first][2] = table.rows[first][1] = first
+        table.check_consistency()
+        table._merge(first, 0)
+        assert table.rows == [[0, 0, 0], None]
+        table.check_consistency()
 
     def test_merge_keeps_row_zero(self):
         table = CosetTable(1, 10)
@@ -235,7 +274,7 @@ class TestTableInternals:
     def test_consistency_rejects_broken_inverse_entry(self):
         table = CosetTable(1, 10)
         first = table.define(0, 1)
-        table.rows[first][CosetTable.column(-1)] = -1
+        table.rows[first][table.column(-1)] = -1
         with pytest.raises(AssertionError):
             table.check_consistency()
 
@@ -247,7 +286,7 @@ class TestTableInternals:
         first = table.define(0, 1)
         table.parent[first] = 0
         table.live -= 1
-        table.rows[0][CosetTable.column(-1)] = 0
+        table.rows[0][table.column(-1)] = 0
         with pytest.raises(AssertionError):
             table.check_consistency()
 
@@ -271,7 +310,7 @@ class TestTableInternals:
         first = table.define(0, 1)
         table.parent[first] = 0
         table.live -= 1
-        table.rows[0][CosetTable.column(1)] = -1
+        table.rows[0][table.column(1)] = -1
         with pytest.raises(AssertionError, match="dead coset keeps its row"):
             table.check_consistency()
         table.rows[first] = None
@@ -280,7 +319,7 @@ class TestTableInternals:
     def test_consistency_rejects_live_row_released(self):
         table = CosetTable(1, 10)
         first = table.define(0, 1)
-        table.rows[0][CosetTable.column(1)] = -1
+        table.rows[0][table.column(1)] = -1
         table.rows[first] = None
         with pytest.raises(AssertionError, match="live coset without its row"):
             table.check_consistency()
@@ -304,7 +343,7 @@ class TestTableInternals:
 class TestCounters:
     def test_peak_live_and_coincidences(self):
         result = enumerate_cosets(T235)
-        assert (result.peak_live, result.coincidences) == (69, 17)
+        assert (result.peak_live, result.coincidences) == (64, 3)
         result = enumerate_cosets(COINCIDENT, strategy=Strategy.DEFINITION_FIRST)
         assert (result.peak_live, result.coincidences) == (10, 3)
 
@@ -324,41 +363,76 @@ class TestCounters:
     def test_relator_first_on_symmetric_group_of_degree_seven(self):
         # a table 7 times larger than any other pin guards the definition order
         result = enumerate_cosets(coxeter_symmetric(7))
-        assert result == Finite(5040, 12145)
-        assert (result.peak_live, result.coincidences) == (5208, 6987)
+        assert result == Finite(5040, 6411)
+        assert (result.peak_live, result.coincidences) == (5045, 1348)
 
     def test_relator_first_on_symmetric_group_of_degree_eight(self):
-        # the largest table the benchmark builds: 65,236 coincidences
-        result = enumerate_cosets(coxeter_symmetric(8), max_cosets=1_000_000)
-        assert result == Finite(40320, 106296)
-        assert (result.peak_live, result.coincidences) == (40930, 65236)
+        # the largest table the benchmark builds; with two columns for each
+        # involution it defined 106,296 cosets and made 65,236 coincidences
+        result = enumerate_cosets(coxeter_symmetric(8), max_cosets=60_000)
+        assert result == Finite(40320, 55119)
+        assert (result.peak_live, result.coincidences) == (40325, 14670)
 
     def test_budget_hit_after_coincidences(self):
-        # relator-first would define its 82nd coset inside a scan; the
+        # relator-first would define its 66th coset inside a scan; the
         # table refuses it and the run stops there
-        result = enumerate_cosets(T235, max_cosets=81)
-        assert result == Exceeded(81)
-        assert (result.cosets_defined, result.peak_live, result.coincidences) == (81, 68, 11)
+        result = enumerate_cosets(T235, max_cosets=65)
+        assert result == Exceeded(65)
+        assert (result.cosets_defined, result.peak_live, result.coincidences) == (65, 63, 1)
 
 
 # Naive references: the enumerator as it was before the flat table, with
 # rows as lists of None-or-coset and a definition-first strategy that
 # rescans every coset against every relator until nothing changes, then
-# searches for the first hole from coset 0.  The rewritten enumerator must
-# make exactly the same definitions.
+# searches for the first hole from coset 0.  Given the involutions the
+# enumerator finds, they use its column layout and scan the relators folded
+# as it folds them, and the rewritten enumerator must make exactly the same
+# definitions.  Given none, they are the two-column enumerator, which
+# defines other cosets but must find the same order.
+
+
+def naive_involutions(presentation):
+    return {
+        k
+        for k in range(1, presentation.ngens + 1)
+        if (k, k) in presentation.relators or (-k, -k) in presentation.relators
+    }
+
+
+def naive_fold(word, involutions):
+    """x_k^-1 read as x_k for an involution x_k, then adjacent inverse
+    letters cancelled, where an involution is its own inverse."""
+    folded = []
+    for letter in word:
+        if -letter in involutions:
+            letter = -letter
+        inverse = letter if letter in involutions else -letter
+        if folded and folded[-1] == inverse:
+            folded.pop()
+        else:
+            folded.append(letter)
+    return tuple(folded)
 
 
 class NaiveCosetTable:
-    def __init__(self, ngens):
-        self.ncols = 2 * ngens
+    def __init__(self, ngens, involutions=()):
+        # x_k's column, then x_k^-1's unless x_k is an involution
+        self.columns = {}
+        self.letters = []
+        for k in range(1, ngens + 1):
+            self.columns[k] = self.columns[-k] = len(self.letters)
+            self.letters.append(k)
+            if k not in involutions:
+                self.columns[-k] = len(self.letters)
+                self.letters.append(-k)
+        self.ncols = len(self.letters)
         self.rows = [[None] * self.ncols]
         self.parent = [0]
         self.live = 1
         self.defined = 1
 
-    @staticmethod
-    def column(letter):
-        return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
+    def column(self, letter):
+        return self.columns[letter]
 
     def rep(self, coset):
         while self.parent[coset] != coset:
@@ -443,14 +517,17 @@ class NaiveCosetTable:
             i += 1
 
 
-def _column_letter(column):
-    k = column // 2 + 1
-    return k if column % 2 == 0 else -k
+def naive_setup(presentation, involutions):
+    """The table and the folded nonempty relators; involutions None means
+    those the enumerator finds."""
+    if involutions is None:
+        involutions = naive_involutions(presentation)
+    relators = [naive_fold(r, involutions) for r in presentation.relators]
+    return NaiveCosetTable(presentation.ngens, involutions), [r for r in relators if r]
 
 
-def naive_relator_first(presentation, max_cosets):
-    relators = [r for r in presentation.relators if r]
-    table = NaiveCosetTable(presentation.ngens)
+def naive_relator_first(presentation, max_cosets, involutions=None):
+    table, relators = naive_setup(presentation, involutions)
     alpha = 0
     while alpha < len(table.rows):
         if not table.is_live(alpha):
@@ -466,16 +543,15 @@ def naive_relator_first(presentation, max_cosets):
             row = table.rows[alpha]
             for column in range(table.ncols):
                 if row[column] is None:
-                    table.define(alpha, _column_letter(column))
+                    table.define(alpha, table.letters[column])
                     if table.defined > max_cosets:
                         return Exceeded(max_cosets)
         alpha += 1
     return Finite(table.live, table.defined)
 
 
-def naive_definition_first(presentation, max_cosets):
-    relators = [r for r in presentation.relators if r]
-    table = NaiveCosetTable(presentation.ngens)
+def naive_definition_first(presentation, max_cosets, involutions=None):
+    table, relators = naive_setup(presentation, involutions)
     while True:
         changed = True
         while changed:
@@ -500,7 +576,7 @@ def naive_definition_first(presentation, max_cosets):
             return Finite(table.live, table.defined)
         if table.defined + 1 > max_cosets:
             return Exceeded(max_cosets)
-        table.define(hole[0], _column_letter(hole[1]))
+        table.define(hole[0], table.letters[hole[1]])
 
 
 NAIVE = {
@@ -516,7 +592,9 @@ def small_presentations(draw):
     word = st.lists(letter, min_size=1, max_size=8)
     # proper powers u^m, whose first u relator-first walks on its own
     power = st.builds(mul, st.lists(letter, min_size=1, max_size=3), st.integers(2, 5))
-    relators = draw(st.lists(st.one_of(word, power), min_size=1, max_size=4))
+    # squares x_k^2, which make x_k an involution with one table column
+    square = letter.map(lambda k: (k, k))
+    relators = draw(st.lists(st.one_of(word, power, square), min_size=1, max_size=4))
     return FinitePresentation(ngens, tuple(map(tuple, relators)))
 
 
@@ -573,6 +651,29 @@ class TestAgainstNaiveReference:
             assert result == NAIVE[strategy](presentation, 100_000)
 
 
+class TestAgainstTwoColumnReference:
+    """One column per involution changes which cosets are defined, never
+    the order: wherever both close, the enumerator finds the order of the
+    naive enumerator that gives every generator two columns."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_presentations(), st.sampled_from(list(Strategy)))
+    @example(T235, Strategy.RELATOR_FIRST)
+    @example(PSL27, Strategy.DEFINITION_FIRST)
+    def test_same_order(self, presentation, strategy):
+        result = checked_enumerate(presentation, 200, strategy)
+        reference = NAIVE[strategy](presentation, 200, involutions=())
+        if isinstance(result, Finite) and isinstance(reference, Finite):
+            assert result.order == reference.order
+
+    def test_fewer_cosets_on_coxeter_presentations(self):
+        for n in (4, 5, 6):
+            result = enumerate_cosets(coxeter_symmetric(n))
+            reference = naive_relator_first(coxeter_symmetric(n), 100_000, involutions=())
+            assert result.order == reference.order == factorial(n)
+            assert result.cosets_defined < reference.cosets_defined
+
+
 SPHERICAL = [TriangleParams(2, 2, n) for n in range(2, 13)] + [
     TriangleParams(2, 3, n) for n in (3, 4, 5)
 ]
@@ -606,7 +707,7 @@ class TestClosedForms:
 class IndexedWalkCosetTable(CosetTable):
     def _merge(self, a, b):
         self.coincidences += 1
-        rows, rep = self.rows, self.rep
+        rows, rep, inverse = self.rows, self.rep, self.inverse
         dead = []
 
         def union(a, b):
@@ -623,7 +724,7 @@ class IndexedWalkCosetTable(CosetTable):
             for column, delta in enumerate(rows[gamma]):
                 if delta < 0:
                     continue
-                back = column ^ 1
+                back = inverse[column]
                 rows[delta][back] = -1
                 mu, nu = rep(gamma), rep(delta)
                 mu_row, nu_row = rows[mu], rows[nu]
@@ -640,11 +741,11 @@ class IndexedWalkCosetTable(CosetTable):
             for mu in dict.fromkeys(map(rep, dead)):
                 for column, target in enumerate(rows[mu]):
                     if target >= 0:
-                        self.deductions += (mu * n + column, target * n + (column ^ 1))
+                        self.deductions += (mu * n + column, target * n + inverse[column])
 
     def _scan(self, coset, relators):
         rows, parent, deductions, n = self.rows, self.parent, self.deductions, self.ncols
-        for head, tail, backward in relators:
+        for head, tail, _, backward in relators:
             if parent[coset] != coset:
                 return
             steps = head + tail
@@ -690,10 +791,10 @@ class CheckedIndexedWalkCosetTable(Checked, IndexedWalkCosetTable):
 
 def run_table(table_class, presentation, budget, strategy):
     """The table enumerate_cosets builds, left as the run ends."""
-    table = table_class(presentation.ngens, budget)
+    table = table_class(presentation.ngens, budget, _involutions(presentation.relators))
     run = _relator_first if strategy is Strategy.RELATOR_FIRST else _definition_first
     try:
-        run(table, tuple(r for r in presentation.relators if r))
+        run(table, presentation.relators)
     except _BudgetExhausted:
         pass
     return table
