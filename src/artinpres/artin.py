@@ -311,8 +311,11 @@ _RELATOR_LINE = re.compile(r"r0*(\d+)\s*=\s*(.+)", re.ASCII)
 def parse_presentation(text: str) -> tuple[int, tuple[Word, ...]]:
     """Parse the presentation text format into a raw (n, relators) candidate.
 
-    Line 1 is ``artin <n>``; the following n lines are ``r<i> = <word>`` in
-    order.  Relators are read as parse_word reads them, re-reduced on parse.
+    Line 1 is ``artin <n>``, the generator count; any number of lines
+    ``r<i> = <word>`` follow in order, so T(2,3,5) can feed enumerate_cosets.
+    ArtinPresentation, artin_defect and exponent_matrix raise ValueError
+    unless there are n.  Relators are read as parse_word reads them,
+    re-reduced on parse.
     The largest index among a relator's distinct tokens bounds its letters';
     only past n is the reduced relator scanned with max_generator, so a
     token beyond x_n that cancels is accepted.  No Artin check is performed,
@@ -329,8 +332,6 @@ def parse_presentation(text: str) -> tuple[int, tuple[Word, ...]]:
     n = _bounded(header.group(1))
     if n is None:
         raise ParseError(f"generator count beyond {MAX_EXPONENT} in 'artin <n>' header")
-    if len(lines) - 1 != n:
-        raise ParseError(f"expected {n} relator lines after the header, got {len(lines) - 1}")
     relators = []
     for i, line in enumerate(lines[1:], start=1):
         match = _RELATOR_LINE.fullmatch(line)

@@ -4,11 +4,13 @@ Every subcommand reads and writes deterministic text, suitable for golden
 file testing: identical inputs and flags produce byte-identical output.
 Exit codes: 0 on success, 1 on domain errors (for example a non-pure braid,
 a triple outside the trivial-group families, or a computation that ran out
-of memory), 2 on usage or parse errors, undecodable input included.  ``main``
-sets every exit code; handlers only print or raise.  Error text goes to
-stderr.  File arguments accept ``-`` for stdin.  An argument that starts
-with ``-`` and holds a comma before any ``=`` is a positional, so a triple
-such as ``-1,-3,2`` is never taken for an option and errors echo it as typed.
+of memory), 2 on usage or parse errors, undecodable input included, and 141
+with nothing on stderr when the reader closes stdout early, as ``| head``
+does.  ``main`` sets every exit code; handlers only print or raise.  Error
+text goes to stderr.  File arguments accept ``-`` for stdin.  An argument
+that starts with ``-`` and holds a comma before any ``=`` is a positional,
+so a triple such as ``-1,-3,2`` is never taken for an option and errors
+echo it as typed.
 """
 
 from __future__ import annotations
@@ -230,6 +232,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as the SIGPIPE note of the signal docs does: devnull takes the
+        # flush at exit, and 141 = 128 + SIGPIPE is a shell's exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

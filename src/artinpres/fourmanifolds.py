@@ -19,6 +19,7 @@ orientation-reversed complex projective plane).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -89,22 +90,29 @@ def trivial_family(t: Tuple3) -> Family | None:
     return Family.T5 if a + b == 2 * c else Family.T3
 
 
-def enumerate_trivial(bound: int) -> list[Tuple3]:
-    """All family members with max(|a|, |b|, |c|) <= bound, deduplicated
-    across overlapping families and sorted lexicographically.  Candidates
-    come from the rule in O(bound): every a when |c| <= 1, else a within 1
-    of c; b solves ab = c^2 +- 1 (any b when a = 0); each accepted triple
-    brings its swap (b, a, c), which covers |b - c| <= 1."""
+def enumerate_trivial(bound: int) -> Iterator[Tuple3]:
+    """All family members with max(|a|, |b|, |c|) <= bound, each once, in
+    lexicographic order, streamed row by row in a; the bound is checked at
+    the call.  Row 0 is every (0, b, +-1) (T4).  Row a != 0 sorts a few
+    candidates: |c| <= 1 or |a - c| <= 1 with b solving ab = c^2 +- 1, and
+    |b - c| <= 1, which forces |a - b| <= 4 since b (a - b - 2e) = e^2 +- 1
+    for c = b + e (b = 0 gives |c| = 1).  O(bound) time, O(1) memory."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    return _trivial_rows(bound)
+
+
+def _trivial_rows(bound: int) -> Iterator[Tuple3]:
     span = range(-bound, bound + 1)
-    found: set[Tuple3] = set()
-    for c in span:
-        for a in span if abs(c) <= 1 else (c - 1, c, c + 1):
-            for b in span if a == 0 else [n // a for n in (c * c - 1, c * c + 1) if n % a == 0]:
-                if max(abs(a), abs(b)) <= bound and _is_trivial((a, b, c)):
-                    found.update(((a, b, c), (b, a, c)))
-    return sorted(found)
+    for a in span:
+        if a == 0:
+            yield from ((0, b, c) for b in span for c in (-1, 1))
+            continue
+        near = (-1, 0, 1, a - 1, a, a + 1)
+        row = {(a, n // a, c) for c in near for n in (c * c - 1, c * c + 1) if n % a == 0}
+        row.update((a, b, c) for b in range(a - 4, a + 5) for c in (b - 1, b, b + 1)
+                   if abs(a * b - c * c) == 1)
+        yield from sorted(t for t in row if max(abs(t[1]), abs(t[2])) <= bound and _is_trivial(t))
 
 
 class Parity(Enum):

@@ -1,47 +1,27 @@
-"""Triangle (von Dyck) groups and the quotient certificates they provide
+"""Triangle (von Dyck) group quotients and the certificates they provide
 for the two-generator family.
 
 T(l, m, n) = <x, y | x^l, y^m, (xy)^n> is finite exactly when
-1/l + 1/m + 1/n > 1.  Adding the relation (x1 x2)^c to r(a, b, c) yields a
-surjection of its group onto T(|a-c|, |b-c|, |c|), so whenever those three
-values are all at least 2 the group is certified nontrivial, and infinite
-when additionally 1/|a-c| + 1/|b-c| + 1/|c| <= 1.  Triviality certificates
-go the other way: a straight-line program that writes x1 and x2 as
-products of conjugates of the relators, checked by free reduction.  The
-programs have 2 steps on T1 and T4 and 3 on T5, and a check on T4 or T5
-builds about 2(|r1| + |r2|) letters; the 16 T2 and T3 triples take 4 or 9
-steps.
+1/l + 1/m + 1/n > 1, that is when _excess(l, m, n) > 0, and then has
+order 2lmn / _excess(l, m, n).  Adding the relation (x1 x2)^c to
+r(a, b, c) yields a surjection of its group onto T(|a-c|, |b-c|, |c|)
+(triangle_quotient), so whenever those three values are all at least 2
+the group is certified nontrivial, and infinite when the excess is at
+most 0 (triangle_verdict).  Triviality certificates go the other way: a
+straight-line program that writes x1 and x2 as products of conjugates of
+the relators, checked by free reduction.  The programs have 2 steps on T1
+and T4 and 3 on T5, and a check on T4 or T5 builds about 2(|r1| + |r2|)
+letters; the 16 T2 and T3 triples take 4 or 9 steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 
 from .coset import FinitePresentation
 from .twogen import Tuple3, _relators
 from .words import _join, _power
-
-
-@dataclass(frozen=True)
-class TriangleParams:
-    """Rotation orders (l, m, n), each at least 2."""
-
-    l: int
-    m: int
-    n: int
-
-    def __post_init__(self) -> None:
-        for value in (self.l, self.m, self.n):
-            if value < 2:
-                raise ValueError(f"triangle parameters must be >= 2, got {value}")
-
-
-class GeometryClass(Enum):
-    SPHERICAL = "spherical"
-    EUCLIDEAN = "euclidean"
-    HYPERBOLIC = "hyperbolic"
 
 
 class TriangleVerdict(Enum):
@@ -54,43 +34,11 @@ class TriangleVerdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def delta(t: TriangleParams) -> Fraction:
-    """1/l + 1/m + 1/n as an exact rational; 1 is the geometry boundary."""
-    return Fraction(1, t.l) + Fraction(1, t.m) + Fraction(1, t.n)
-
-
 def _excess(l: int, m: int, n: int) -> int:
-    """lmn (1/l + 1/m + 1/n - 1), which has the sign of delta - 1."""
+    """lmn (1/l + 1/m + 1/n - 1) in integers: positive exactly when
+    T(l, m, n) is spherical (finite), 0 when Euclidean, negative when
+    hyperbolic."""
     return m * n + l * n + l * m - l * m * n
-
-
-def classify_geometry(t: TriangleParams) -> GeometryClass:
-    excess = _excess(t.l, t.m, t.n)
-    if excess > 0:
-        return GeometryClass.SPHERICAL
-    if excess == 0:
-        return GeometryClass.EUCLIDEAN
-    return GeometryClass.HYPERBOLIC
-
-
-def spherical_order(t: TriangleParams) -> int:
-    """Order of the finite triangle group, 2/(delta - 1).
-
-    Always an integer for spherical parameters; cross-validated against the
-    coset enumerator in the test suite.
-    """
-    excess = _excess(t.l, t.m, t.n)
-    if excess <= 0:
-        raise ValueError(f"({t.l},{t.m},{t.n}) is not spherical")
-    order, remainder = divmod(2 * t.l * t.m * t.n, excess)
-    if remainder:
-        raise ArithmeticError(f"order of ({t.l},{t.m},{t.n}) is not an integer")
-    return order
-
-
-def triangle_presentation(t: TriangleParams) -> FinitePresentation:
-    """<x, y | x^l, y^m, (xy)^n> on two generators."""
-    return FinitePresentation(2, ((1,) * t.l, (2,) * t.m, (1, 2) * t.n))
 
 
 def triangle_quotient(t: Tuple3) -> FinitePresentation:

@@ -557,8 +557,12 @@ class TestPresentationText:
             parse_presentation(" \n\t\n")
 
     def test_wrong_relator_count(self):
-        with pytest.raises(ParseError):
-            parse_presentation("artin 2\nr1 = x1")
+        # any number of relators parses, for coset enumeration; the Artin
+        # consumers refuse a count other than n
+        assert parse_presentation("artin 2\nr1 = x1") == (2, ((1,),))
+        assert parse_presentation("artin 1\nr1 = x1\nr2 = x1^2") == (1, ((1,), (1, 1)))
+        with pytest.raises(ValueError, match="expected 2 relators, got 1"):
+            artin_defect(*parse_presentation("artin 2\nr1 = x1"))
 
     def test_out_of_range_generator(self):
         with pytest.raises(ParseError):

@@ -15,9 +15,15 @@ SRC = str(Path(artinpres.__file__).parent.parent)
 ICOSAHEDRAL = "artin 2\nr1 = x1^-2 x2 x1 x2\nr2 = x2^-5 x1 x2 x1 x2\n"
 # <x1, x2 | x1^2, (x1 x2)^5 = x2^3>: x2^3 commutes with x2 and with x1 x2,
 # so the group is a central extension of T(2,3,5), of order 480; x1 is an
-# involution, and T(2,3,5) itself needs three relators, which the
-# "artin <n>" format does not hold
+# involution
 INVOLUTION = "artin 2\nr1 = x1^2\nr2 = x1 x2 x1 x2 x1 x2 x1 x2 x1 x2^-2\n"
+# T(2,3,5) and PSL(2,7) = <x, y | x^2, y^3, (xy)^7, [x, y]^4> take more
+# relators than generators, which coset reads and the Artin commands refuse
+T235 = "artin 2\nr1 = x1^2\nr2 = x2^3\nr3 = " + " ".join(["x1 x2"] * 5) + "\n"
+PSL27 = (
+    "artin 2\nr1 = x1^2\nr2 = x2^3\nr3 = " + " ".join(["x1 x2"] * 7)
+    + "\nr4 = " + " ".join(["x1^-1 x2^-1 x1 x2"] * 4) + "\n"
+)
 TWIST = "artin 2\nr1 = x1 x2\nr2 = x1 x2\n"
 NON_ARTIN = "artin 2\nr1 = x1\nr2 = x1\n"
 # an exponent whose word is too long to index: building it overflows
@@ -312,6 +318,19 @@ class TestEnumTrivial:
         assert (code, err) == (0, "")
         assert out == (GOLDEN / "enum_trivial_6.expected").read_text()
 
+    def test_closed_stdout_exits_quietly(self):
+        # a reader that stops early, as "| head -n 1" does: the next write
+        # fails on a closed pipe, which is exit 141 with nothing on stderr
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "artinpres.cli", "enum-trivial", "--bound", "3000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (first, proc.wait(timeout=60), err) == (b"-3000,-2998,-2999 family=T5 X4=S2xS2\n", 141, b"")
+
 
 class TestCoset:
     def test_icosahedral_order(self, capsys, write):
@@ -339,6 +358,24 @@ class TestCoset:
         )
         assert code == 0
         assert out.startswith("order=120 ")
+
+    @pytest.mark.parametrize(
+        "text, strategy, out",
+        [
+            (T235, "relator-first", "order=60 cosets=66\n"),
+            (T235, "definition-first", "order=60 cosets=60\n"),
+            (PSL27, "relator-first", "order=168 cosets=268\n"),
+        ],
+        ids=["T235-relator-first", "T235-definition-first", "PSL27-relator-first"],
+    )
+    def test_more_relators_than_generators(self, capsys, write, text, strategy, out):
+        code, stdout, err = run(capsys, "coset", write("p.txt", text), "--strategy", strategy)
+        assert (code, stdout, err) == (0, out, "")
+
+    @pytest.mark.parametrize("argv", [["verify"], ["matrix"], ["tuple", "recognize"]])
+    def test_artin_commands_refuse_other_relator_counts(self, capsys, write, argv):
+        code, out, err = run(capsys, *argv, write("p.txt", T235))
+        assert (code, out, err) == (1, "", "error: expected 2 relators, got 3\n")
 
     def test_exceeded(self, capsys, write):
         code, out, _ = run(

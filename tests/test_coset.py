@@ -20,7 +20,6 @@ from artinpres.coset import (
     enumerate_cosets,
 )
 from artinpres.fourmanifolds import enumerate_trivial
-from artinpres.triangle import TriangleParams, spherical_order, triangle_presentation
 from artinpres.twogen import build_r2
 
 T235 = FinitePresentation(2, ((1, 1), (2, 2, 2), (1, 2) * 5))
@@ -674,20 +673,26 @@ class TestAgainstTwoColumnReference:
             assert result.cosets_defined < reference.cosets_defined
 
 
-SPHERICAL = [TriangleParams(2, 2, n) for n in range(2, 13)] + [
-    TriangleParams(2, 3, n) for n in (3, 4, 5)
+# (l, m, n) and the order of <x, y | x^l, y^m, (xy)^n>: the dihedral
+# group of order 2n, the tetrahedral, octahedral and icosahedral groups
+SPHERICAL = [((2, 2, n), 2 * n) for n in range(2, 13)] + [
+    ((2, 3, 3), 12),
+    ((2, 3, 4), 24),
+    ((2, 3, 5), 60),
 ]
 
 
 class TestClosedForms:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(SPHERICAL), st.sampled_from(list(Strategy)))
-    def test_spherical_triangle_orders(self, t, strategy):
-        result = enumerate_cosets(triangle_presentation(t), strategy=strategy)
-        assert isinstance(result, Finite) and result.order == spherical_order(t)
+    def test_spherical_triangle_orders(self, case, strategy):
+        (l, m, n), order = case
+        presentation = FinitePresentation(2, ((1,) * l, (2,) * m, (1, 2) * n))
+        result = enumerate_cosets(presentation, strategy=strategy)
+        assert isinstance(result, Finite) and result.order == order
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from(enumerate_trivial(6)))
+    @given(st.sampled_from(list(enumerate_trivial(6))))
     def test_strategies_agree_on_trivial_family(self, t):
         presentation = presentation_of(t)
         orders = {

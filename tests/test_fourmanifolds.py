@@ -137,16 +137,16 @@ class TestFamilies:
 
 class TestEnumerateTrivial:
     def test_bound_one_count(self):
-        found = enumerate_trivial(1)
+        found = list(enumerate_trivial(1))
         assert len(found) == 14
 
     def test_bound_one_membership(self):
-        found = enumerate_trivial(1)
+        found = list(enumerate_trivial(1))
         assert (1, 1, 0) in found
         assert (1, 1, 1) not in found
 
     def test_sorted_and_unique(self):
-        found = enumerate_trivial(6)
+        found = list(enumerate_trivial(6))
         assert found == sorted(set(found))
 
     def test_every_member_in_some_family(self):
@@ -191,7 +191,13 @@ class TestEnumerateTrivial:
 
     @pytest.mark.parametrize("bound", [1, 2, 3, 5, 8, 12, 50, 100, 300])
     def test_matches_reference(self, bound):
-        assert enumerate_trivial(bound) == reference_enumerate(bound)
+        assert list(enumerate_trivial(bound)) == reference_enumerate(bound)
+
+    def test_streams_from_a_large_bound(self):
+        # the first triples arrive without the 10^7 rows before them built
+        found = enumerate_trivial(10**7)
+        assert next(found) == (-(10**7), -(10**7) + 2, -(10**7) + 1)
+        assert next(found) == (-(10**7), 0, -1)
 
 
 class TestFormInvariants:

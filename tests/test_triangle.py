@@ -6,19 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from artinpres import coset, triangle, twogen, words
-from artinpres.coset import Finite, FinitePresentation, enumerate_cosets
+from artinpres.artin import parse_presentation
+from artinpres.coset import Exceeded, Finite, FinitePresentation, Strategy, enumerate_cosets
 from artinpres.fourmanifolds import Family, enumerate_trivial, trivial_family
 from artinpres.triangle import (
-    GeometryClass,
-    TriangleParams,
     TriangleVerdict,
     Triviality,
     TrivialityResult,
+    _excess,
     check_certificate,
-    classify_geometry,
-    delta,
-    spherical_order,
-    triangle_presentation,
     triangle_quotient,
     triangle_verdict,
     triviality_certificate,
@@ -30,73 +26,109 @@ from conftest import large_members
 from test_fourmanifolds import reference_family
 
 
+def delta(p, q, s):
+    """1/p + 1/q + 1/s, exactly: T(p, q, s) is finite when it exceeds 1,
+    and then has order 2 / (delta - 1)."""
+    return Fraction(1, p) + Fraction(1, q) + Fraction(1, s)
+
+
+def realising(p, q, s):
+    """The triple r(p + s, q + s, s), whose triangle_quotient is T(p, q, s)
+    after cancellation."""
+    return (p + s, q + s, s)
+
+
+def quotient_order(p, q, s, strategy=Strategy.RELATOR_FIRST):
+    result = enumerate_cosets(triangle_quotient(realising(p, q, s)), strategy=strategy)
+    assert isinstance(result, Finite), (p, q, s)
+    return result.order
+
+
+def triangle_text(l, m, n):
+    """T(l, m, n) as a presentation file, powers of products expanded."""
+    return f"artin 2\nr1 = x1^{l}\nr2 = x2^{m}\nr3 = " + " ".join(["x1 x2"] * n)
+
+
 class TestDelta:
+    """_excess(l, m, n) is lmn (delta - 1) in integers."""
+
     def test_icosahedral(self):
-        assert delta(TriangleParams(2, 3, 5)) == Fraction(31, 30)
+        assert delta(2, 3, 5) == Fraction(31, 30)
+        assert _excess(2, 3, 5) == 1
 
     def test_euclidean_boundary(self):
-        assert delta(TriangleParams(3, 3, 3)) == 1
+        assert delta(3, 3, 3) == 1
+        assert _excess(3, 3, 3) == 0
 
     def test_hyperbolic(self):
-        assert delta(TriangleParams(2, 3, 7)) == Fraction(41, 42)
+        assert delta(2, 3, 7) == Fraction(41, 42)
+        assert _excess(2, 3, 7) == -1
 
     def test_parameters_validated(self):
-        with pytest.raises(ValueError):
-            TriangleParams(1, 3, 3)
+        # a parameter below 2 certifies nothing
+        assert triangle_verdict(realising(1, 3, 3)) is TriangleVerdict.INCONCLUSIVE
 
 
 class TestGeometry:
+    """The geometry of T(p, q, s), read through triangle_verdict on the
+    realising triple: spherical is NONTRIVIAL, the others INFINITE."""
+
     def test_spherical(self):
-        assert classify_geometry(TriangleParams(2, 3, 5)) is GeometryClass.SPHERICAL
+        assert triangle_verdict(realising(2, 3, 5)) is TriangleVerdict.NONTRIVIAL
 
     def test_hyperbolic(self):
-        assert classify_geometry(TriangleParams(3, 3, 4)) is GeometryClass.HYPERBOLIC
+        assert triangle_verdict(realising(3, 3, 4)) is TriangleVerdict.INFINITE
 
     def test_euclidean(self):
-        assert classify_geometry(TriangleParams(2, 4, 4)) is GeometryClass.EUCLIDEAN
+        assert triangle_verdict(realising(2, 4, 4)) is TriangleVerdict.INFINITE
 
 
 class TestSphericalOrder:
+    """Orders of triangle_quotient on realising triples, against
+    2 / (delta - 1)."""
+
     def test_icosahedral(self):
-        assert spherical_order(TriangleParams(2, 3, 5)) == 60
+        assert quotient_order(2, 3, 5) == 60
 
     def test_dihedral(self):
-        # value frozen from coset enumeration of <x,y | x^2, y^2, (xy)^7>
-        assert spherical_order(TriangleParams(2, 2, 7)) == 14
+        assert quotient_order(2, 2, 7) == 14
 
     def test_octahedral(self):
-        assert spherical_order(TriangleParams(2, 3, 4)) == 24
+        assert quotient_order(2, 3, 4) == 24
 
     def test_non_spherical_rejected(self):
-        with pytest.raises(ValueError):
-            spherical_order(TriangleParams(3, 3, 3))
+        # T(3,3,3) is infinite: the verdict says so, and no budget closes it
+        assert triangle_verdict(realising(3, 3, 3)) is TriangleVerdict.INFINITE
+        result = enumerate_cosets(triangle_quotient(realising(3, 3, 3)), max_cosets=2000)
+        assert isinstance(result, Exceeded)
 
     def test_agrees_with_coset_enumeration_on_grid(self):
-        for l, m, n in product(range(2, 7), repeat=3):
-            params = TriangleParams(l, m, n)
-            if classify_geometry(params) is not GeometryClass.SPHERICAL:
-                continue
-            result = enumerate_cosets(triangle_presentation(params))
-            assert isinstance(result, Finite)
-            assert result.order == spherical_order(params)
+        spherical = [t for t in product(range(2, 7), repeat=3) if delta(*t) > 1]
+        assert len(spherical) == 28
+        for t, strategy in product(spherical, Strategy):
+            assert quotient_order(*t, strategy=strategy) == 2 / (delta(*t) - 1), (t, strategy)
 
     def test_order_independent_of_parameter_listing(self):
         for perm in permutations((2, 3, 5)):
-            assert spherical_order(TriangleParams(*perm)) == 60
+            assert quotient_order(*perm) == 60
 
 
 class TestTrianglePresentation:
+    """T(l, m, n) enters as a presentation file with three relators."""
+
     def test_icosahedral(self):
-        p = triangle_presentation(TriangleParams(2, 3, 5))
-        assert p.relators == ((1, 1), (2, 2, 2), (1, 2, 1, 2, 1, 2, 1, 2, 1, 2))
+        n, relators = parse_presentation(triangle_text(2, 3, 5))
+        assert (n, relators) == (2, ((1, 1), (2, 2, 2), (1, 2, 1, 2, 1, 2, 1, 2, 1, 2)))
+        assert enumerate_cosets(FinitePresentation(n, relators)).order == 60
 
     def test_smallest(self):
-        p = triangle_presentation(TriangleParams(2, 2, 2))
-        assert p.relators == ((1, 1), (2, 2), (1, 2, 1, 2))
+        assert parse_presentation(triangle_text(2, 2, 2)) == (2, ((1, 1), (2, 2), (1, 2, 1, 2)))
 
     def test_reordered_parameters(self):
-        p = triangle_presentation(TriangleParams(3, 5, 2))
-        assert p.relators == ((1, 1, 1), (2, 2, 2, 2, 2), (1, 2, 1, 2))
+        assert parse_presentation(triangle_text(3, 5, 2)) == (
+            2,
+            ((1, 1, 1), (2, 2, 2, 2, 2), (1, 2, 1, 2)),
+        )
 
 
 class TestTriangleVerdict:
@@ -115,19 +147,12 @@ class TestTriangleVerdict:
 
     def test_integer_rule_matches_fractions(self):
         for p, q, s in product(range(2, 41), repeat=3):
-            params = TriangleParams(p, q, s)
-            d = delta(params)
-            assert d == Fraction(1, p) + Fraction(1, q) + Fraction(1, s)
+            d = delta(p, q, s)
+            assert _excess(p, q, s) == p * q * s * (d - 1), (p, q, s)
             expected = TriangleVerdict.INFINITE if d <= 1 else TriangleVerdict.NONTRIVIAL
             assert triangle_verdict((s + p, s - q, s)) is expected, (p, q, s)
-            if d > 1:
-                assert classify_geometry(params) is GeometryClass.SPHERICAL
-                assert spherical_order(params) == 2 / (d - 1), (p, q, s)
-                continue
-            geometry = GeometryClass.EUCLIDEAN if d == 1 else GeometryClass.HYPERBOLIC
-            assert classify_geometry(params) is geometry, (p, q, s)
-            with pytest.raises(ValueError):
-                spherical_order(params)
+            if d > 1:  # the order 2 / (delta - 1) = 2pqs / excess is an integer
+                assert 2 * p * q * s % _excess(p, q, s) == 0, (p, q, s)
 
     def test_verdict_consistent_with_coset_order(self):
         # whenever the certificate fires and enumeration still closes, the
@@ -191,7 +216,7 @@ class TestTrivialityStatus:
         monkeypatch.setattr(twogen, "_from_reduced", fail)
         monkeypatch.setattr(coset, "enumerate_cosets", fail)
         monkeypatch.setattr(coset.CosetTable, "__init__", fail)
-        for t in enumerate_trivial(8) + [(2001, 1999, 2000), (0, 2000, -1)]:
+        for t in [*enumerate_trivial(8), (2001, 1999, 2000), (0, 2000, -1)]:
             assert triviality_status(t).status is Triviality.TRIVIAL
 
     def test_failed_certificate_raises(self, monkeypatch):
