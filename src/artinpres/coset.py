@@ -28,7 +28,12 @@ relator, and a backward walk from the far end only where the forward walk
 meets an undefined entry.  Relator-first scans the cosets in increasing
 order, so its forward walk around a proper power u^m stops after one u
 when that reaches a coset scanned before, whose closed cycle runs through
-here.
+here.  For the same reason it skips a relator a w, with a an involution
+and w equal to its own inverse, at a coset d whose a-entry is a coset
+e < d: the cycle closed at e is e -a-> d -w-> e, and w read from e, as
+w^-1 = w, leads back to d, so the cycle at d is closed too.  The same
+holds for w a at the last letter's column.  Every Coxeter relator
+(s t)^m between two involutions is both kinds.
 
 Two deterministic strategies are provided (Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, ch. 5).  RELATOR_FIRST is the
@@ -113,10 +118,12 @@ EnumResult = Finite | Exceeded
 
 # A relator compiled for scanning: its letters as (index, column) pairs,
 # split after the first period of a proper power (the second part is empty
-# otherwise), then the column of each letter, and the column of each
-# letter's inverse, read backward.
+# otherwise), then the column of each letter, the column of each letter's
+# inverse, read backward, and its mirror columns: a pair for relator-first
+# on a relator with a reflection (one column given twice when only one end
+# qualifies), empty otherwise.
 _Steps = tuple[tuple[int, int], ...]
-_Compiled = tuple[_Steps, _Steps, tuple[int, ...], tuple[int, ...]]
+_Compiled = tuple[_Steps, _Steps, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 class _BudgetExhausted(Exception):
@@ -303,11 +310,30 @@ class CosetTable:
         and the cycle that scan closed, which every merge since has kept
         closed, runs through here.  Only a merge can kill the coset, so
         liveness is checked on entry and after each merge.
+
+        A relator with mirror columns (only relator-first compiles them) is
+        skipped with no walk when this coset's entry in either one is a
+        coset e below it.  Say the relator is a w with a an involution and
+        w equal to its own inverse, and e = coset * a.  Then e is live,
+        since live rows name only live cosets, so it was scanned against
+        the relator, and the cycle that scan closed, e -a-> coset -w-> e,
+        read backward gives e -w-> coset, as w^-1 = w.  So this coset's
+        cycle, coset -a-> e -w-> coset, is closed too.  For w a and its
+        last column the argument is the mirror image.  The skip neither
+        defines nor merges: every other scan, and so the table, is as
+        without it.
         """
         rows, parent, deductions, n = self.rows, self.parent, self.deductions, self.ncols
         if parent[coset] != coset:
             return
-        for head, tail, forward, backward in relators:
+        for head, tail, forward, backward, mirror in relators:
+            if mirror:
+                a, b = mirror
+                row = rows[coset]
+                if 0 <= row[a] < coset or 0 <= row[b] < coset:
+                    # the cycle a coset scanned before this one closed,
+                    # read backward, runs through here
+                    continue
             f = coset
             for i, column in head:
                 nxt = rows[f][column]
@@ -386,15 +412,34 @@ class CosetTable:
                     )
 
 
-def _compile(path: tuple[int, ...], inverse: list[int], period: int = 0) -> _Compiled:
+def _compile(
+    path: tuple[int, ...], inverse: list[int], period: int = 0, mirror: tuple[int, ...] = ()
+) -> _Compiled:
     steps = tuple(enumerate(path))
     period = period or len(steps)
-    return steps[:period], steps[period:], path, tuple(map(inverse.__getitem__, path))
+    return steps[:period], steps[period:], path, tuple(map(inverse.__getitem__, path)), mirror
 
 
 def _involutions(relators: Iterable[Word]) -> set[int]:
     """The generators g with g^2 or g^-2 among the (reduced) relators."""
     return {abs(r[0]) for r in relators if len(r) == 2 and r[0] == r[1]}
+
+
+def _mirror_columns(path: tuple[int, ...], inverse: list[int]) -> tuple[int, ...]:
+    """The pair of columns relator-first checks before scanning a folded
+    relator path; empty when the path has no reflection.
+
+    An end of the path qualifies when its column is its own inverse and
+    the rest of the path, without that column, equals its own inverse.
+    With one qualifying end the pair repeats its column.
+    """
+    inverted = tuple(inverse[column] for column in reversed(path))
+    ends = []
+    if inverse[path[0]] == path[0] and path[1:] == inverted[:-1]:
+        ends.append(path[0])
+    if inverse[path[-1]] == path[-1] and path[:-1] == inverted[1:]:
+        ends.append(path[-1])
+    return (ends[0], ends[-1]) if ends else ()
 
 
 def _power_period(word: Sequence[int]) -> int:
@@ -436,7 +481,8 @@ def enumerate_cosets(
 
 def _relator_first(table: CosetTable, relators: tuple[Word, ...]) -> None:
     paths = [p for p in map(table.fold, relators) if p]
-    compiled = [_compile(p, table.inverse, _power_period(p)) for p in paths]
+    inverse = table.inverse
+    compiled = [_compile(p, inverse, _power_period(p), _mirror_columns(p, inverse)) for p in paths]
     rows, parent = table.rows, table.parent
     alpha = 0
     while alpha < table.defined:

@@ -15,6 +15,7 @@ from artinpres.coset import (
     _BudgetExhausted,
     _definition_first,
     _involutions,
+    _mirror_columns,
     _power_period,
     _relator_first,
     enumerate_cosets,
@@ -29,6 +30,11 @@ PSL27 = FinitePresentation(2, ((1, 1), (2, 2, 2), (1, 2) * 7, (-1, -2, 1, 2) * 4
 Q8 = FinitePresentation(2, ((1, 1, 1, 1), (1, 1, -2, -2), (-2, 1, 2, 1)))
 # <x, y | xyx^-1 y^-2, yxy^-1 x^-2> collapses only through coincidences
 COINCIDENT = FinitePresentation(2, ((1, 2, -1, -2, -2), (2, 1, -2, -1, -1)))
+# <a, b, x | a^2, b^2, (ab)^5, a x a x^-1, b x b x, x^3>: a fixes x and b
+# inverts it, so (ab)^5 inverts x, which collapses, leaving D5 of order 10
+REFLECTED = FinitePresentation(
+    3, ((1, 1), (2, 2), (1, 2) * 5, (1, 3, 1, -3), (2, 3, 2, 3), (3, 3, 3))
+)
 # <x | x^3, x^2> is trivial; a scan that tests the proper-power early stop
 # after the whole relator, not after one period, gives it order 2 under
 # Felsch, a fault that random draws can miss for a whole run
@@ -42,6 +48,20 @@ def coxeter_symmetric(n):
     relators += [(i, i + 1) * 3 for i in range(1, m)]
     relators += [(i, j) * 2 for i in range(1, m + 1) for j in range(i + 2, m + 1)]
     return FinitePresentation(m, tuple(relators))
+
+
+def coxeter_triangle(l, m, n):
+    """Coxeter presentation of the reflection triangle group
+    <a, b, c | a^2, b^2, c^2, (ab)^l, (bc)^m, (ca)^n>, which holds
+    T(l, m, n) with index 2."""
+    return FinitePresentation(3, ((1, 1), (2, 2), (3, 3), (1, 2) * l, (2, 3) * m, (3, 1) * n))
+
+
+def rotated(presentation):
+    """The presentation with each relator rotated by one letter."""
+    return FinitePresentation(
+        presentation.ngens, tuple(r[1:] + r[:1] for r in presentation.relators)
+    )
 
 
 def presentation_of(t):
@@ -330,6 +350,29 @@ class TestTableInternals:
     def test_power_period(self, word, period):
         assert _power_period(word) == period
 
+    @pytest.mark.parametrize(
+        "word, mirror",
+        [
+            # a Coxeter relator between two involutions, from either end
+            ((1, 2) * 3, (0, 1)),
+            ((2, 1) * 3, (1, 0)),
+            ((1, 2) * 2, (0, 1)),
+            # a x a x^-1 and a x b x^-1 from their first letter, x a x^-1 a
+            # from its last
+            ((1, 3, 1, -3), (0, 0)),
+            ((1, 3, 2, -3), (0, 0)),
+            ((3, 1, -3, 1), (0, 0)),
+            ((1,), (0, 0)),
+            # x3 is no involution: (x1 x3)^5 reads x3 where a mirror needs x3^-1
+            ((1, 3) * 5, ()),
+            ((1, 2, 3), ()),
+            ((3, 1, 3, 1), ()),
+        ],
+    )
+    def test_mirror_columns(self, word, mirror):
+        table = CosetTable(3, 10, {1, 2})
+        assert _mirror_columns(table.fold(word), table.inverse) == mirror
+
     def test_table_refuses_definition_past_budget(self):
         table = CosetTable(1, 2)
         table.define(0, 1)
@@ -597,6 +640,25 @@ def small_presentations(draw):
     return FinitePresentation(ngens, tuple(map(tuple, relators)))
 
 
+@st.composite
+def coxeter_presentations(draw):
+    """A Coxeter presentation of rank 2-4, its relators rotated and
+    shuffled, sometimes with a relator a x a x^-1 on a further generator x."""
+    rank = draw(st.integers(2, 4))
+    relators = [(i, i) for i in range(1, rank + 1)]
+    for i in range(1, rank + 1):
+        for j in range(i + 1, rank + 1):
+            relators.append((i, j) * draw(st.integers(2, 6)))
+    ngens = rank
+    if draw(st.booleans()):
+        ngens += 1
+        a = draw(st.integers(1, rank))
+        relators += [(a, ngens, a, -ngens), (ngens,) * draw(st.integers(2, 4))]
+    rotations = [draw(st.integers(0, len(r) - 1)) for r in relators]
+    relators = [r[k:] + r[:k] for r, k in zip(relators, rotations)]
+    return FinitePresentation(ngens, tuple(draw(st.permutations(relators))))
+
+
 class TestBudgetBound:
     """The budget bounds the cosets ever defined; no strategy passes it.
     A run stops exactly at the budget, and a budget changes only where a
@@ -691,6 +753,13 @@ class TestClosedForms:
         result = enumerate_cosets(presentation, strategy=strategy)
         assert isinstance(result, Finite) and result.order == order
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("case", SPHERICAL)
+    def test_reflection_triangle_orders(self, case, strategy):
+        (l, m, n), order = case
+        result = checked_enumerate(coxeter_triangle(l, m, n), strategy=strategy)
+        assert isinstance(result, Finite) and result.order == 2 * order
+
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(list(enumerate_trivial(6))))
     def test_strategies_agree_on_trivial_family(self, t):
@@ -702,11 +771,11 @@ class TestClosedForms:
 
 
 # Reference: the scan and merge of the per-coset-row table before the
-# early stop on proper powers and the inline finds.  Every scan walks the
-# whole relator forward, liveness is checked before every relator, and
-# every find is a rep() call made through a union closure.  The current
-# table must leave the same rows and parent links, so the same
-# representatives, after every enumeration.
+# early stops on proper powers and on reflections and the inline finds.
+# Every scan walks the whole relator forward, liveness is checked before
+# every relator, and every find is a rep() call made through a union
+# closure.  The current table must leave the same rows and parent links,
+# so the same representatives, after every enumeration.
 
 
 class IndexedWalkCosetTable(CosetTable):
@@ -750,7 +819,7 @@ class IndexedWalkCosetTable(CosetTable):
 
     def _scan(self, coset, relators):
         rows, parent, deductions, n = self.rows, self.parent, self.deductions, self.ncols
-        for head, tail, _, backward in relators:
+        for head, tail, _, backward, _ in relators:
             if parent[coset] != coset:
                 return
             steps = head + tail
@@ -848,3 +917,24 @@ class TestAgainstIndexedWalkReference:
             table = run_table(CosetTable, presentation, 100_000, strategy)
             reference = run_table(IndexedWalkCosetTable, presentation, 100_000, strategy)
             assert table_state(table) == table_state(reference)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize(
+        "presentation",
+        # rotated by one letter, a Coxeter relator (ab)^m reads (ba)^m, and
+        # a x a x^-1 reads x a x^-1 a, whose mirror is its last column
+        [rotated(coxeter_symmetric(n)) for n in (4, 5, 6, 7)]
+        + [coxeter_triangle(2, 3, 5), REFLECTED, rotated(REFLECTED)],
+        ids=["S4", "S5", "S6", "S7", "Delta(2,3,5)", "reflected", "reflected rotated"],
+    )
+    def test_reflected_relators(self, presentation, strategy):
+        table = run_table(CosetTable, presentation, 100_000, strategy)
+        reference = run_table(IndexedWalkCosetTable, presentation, 100_000, strategy)
+        assert table_state(table) == table_state(reference)
+
+    @settings(max_examples=60, deadline=None)
+    @given(coxeter_presentations(), st.sampled_from([50, 400]), st.sampled_from(list(Strategy)))
+    def test_random_coxeter_presentations(self, presentation, budget, strategy):
+        table = run_table(CheckedCosetTable, presentation, budget, strategy)
+        reference = run_table(CheckedIndexedWalkCosetTable, presentation, budget, strategy)
+        assert table_state(table) == table_state(reference)
