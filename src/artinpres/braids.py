@@ -192,7 +192,11 @@ def parse_braid(text: str) -> FramedPureBraid:
     n = _bounded(match.group(1))
     if n is None:
         raise ParseError(f"strand count beyond {MAX_EXPONENT} in 'braid <n>' header")
-    message = f"crossing index must be in 1..{n - 1} in token {{token!r}}"
+    if n > 1:
+        message = f"crossing index must be in 1..{n - 1} in token {{token!r}}"
+    else:
+        strands = "1 strand" if n == 1 else f"{n} strands"
+        message = f"a braid on {strands} has no crossings, got token {{token!r}}"
     letters = parse_runs(match.group(2).split(), "s", "braid", lambda k: 1 <= k < n, message)
     framings_text = match.group(3).strip()
     entries = framings_text.split(",") if framings_text else []

@@ -26,14 +26,12 @@ strategy makes one scan call per coset it traces, against all the
 relators that apply there.  Both share one scan: one forward walk per
 relator, and a backward walk from the far end only where the forward walk
 meets an undefined entry.  Relator-first scans the cosets in increasing
-order, so its forward walk around a proper power u^m stops after one u
-when that reaches a coset scanned before, whose closed cycle runs through
-here.  For the same reason it skips a relator a w, with a an involution
-and w equal to its own inverse, at a coset d whose a-entry is a coset
-e < d: the cycle closed at e is e -a-> d -w-> e, and w read from e, as
-w^-1 = w, leads back to d, so the cycle at d is closed too.  The same
-holds for w a at the last letter's column.  Every Coxeter relator
-(s t)^m between two involutions is both kinds.
+order, so it skips a relator a w, with a an involution and w equal to its
+own inverse, at a coset d whose a-entry is a coset e < d: the cycle closed
+at e is e -a-> d -w-> e, and w read from e, as w^-1 = w, leads back to d,
+so the cycle at d is closed too.  The same holds for w a at the last
+letter's column.  Every Coxeter relator (s t)^m between two involutions
+is of this kind.
 
 Two deterministic strategies are provided (Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, ch. 5).  RELATOR_FIRST is the
@@ -58,7 +56,7 @@ whenever both terminate.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -117,13 +115,11 @@ class Exceeded:
 EnumResult = Finite | Exceeded
 
 # A relator compiled for scanning: its letters as (index, column) pairs,
-# split after the first period of a proper power (the second part is empty
-# otherwise), then the column of each letter, the column of each letter's
-# inverse, read backward, and its mirror columns: a pair for relator-first
-# on a relator with a reflection (one column given twice when only one end
-# qualifies), empty otherwise.
-_Steps = tuple[tuple[int, int], ...]
-_Compiled = tuple[_Steps, _Steps, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+# the column of each letter's inverse, read backward, and its mirror
+# columns, which relator-first's one skip rule reads: a pair for a relator
+# with a reflection (one column given twice when only one end qualifies),
+# empty otherwise.
+_Compiled = tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]
 
 
 class _BudgetExhausted(Exception):
@@ -303,30 +299,25 @@ class CosetTable:
         out; Felsch leaves them for a later definition.  Both walks follow
         live rows, so _merge gets the two distinct live cosets it requires.
 
-        The forward walk around a proper power u^m stops after its first u
-        when it reaches a coset below this one.  Only relator-first splits
-        proper powers that way, and it scans the cosets in increasing order:
-        the coset reached is live, so it was scanned against the relator,
-        and the cycle that scan closed, which every merge since has kept
-        closed, runs through here.  Only a merge can kill the coset, so
-        liveness is checked on entry and after each merge.
-
-        A relator with mirror columns (only relator-first compiles them) is
-        skipped with no walk when this coset's entry in either one is a
-        coset e below it.  Say the relator is a w with a an involution and
-        w equal to its own inverse, and e = coset * a.  Then e is live,
-        since live rows name only live cosets, so it was scanned against
-        the relator, and the cycle that scan closed, e -a-> coset -w-> e,
-        read backward gives e -w-> coset, as w^-1 = w.  So this coset's
-        cycle, coset -a-> e -w-> coset, is closed too.  For w a and its
-        last column the argument is the mirror image.  The skip neither
-        defines nor merges: every other scan, and so the table, is as
-        without it.
+        One rule skips a scan.  Only relator-first compiles mirror columns,
+        and it scans the cosets in increasing order.  A relator with mirror
+        columns is skipped with no walk when this coset's entry in either
+        one is a coset e below it.  Say the relator is a w with a an
+        involution and w equal to its own inverse, and e = coset * a.  Then
+        e is live, since live rows name only live cosets, so it was scanned
+        against the relator, and the cycle that scan closed,
+        e -a-> coset -w-> e, which every merge since has kept closed, read
+        backward gives e -w-> coset, as w^-1 = w.  So this coset's cycle,
+        coset -a-> e -w-> coset, is closed too.  For w a and its last
+        column the argument is the mirror image.  The skip neither defines
+        nor merges: every other scan, and so the table, is as without it.
+        Only a merge can kill the coset, so liveness is checked on entry
+        and after each merge.
         """
         rows, parent, deductions, n = self.rows, self.parent, self.deductions, self.ncols
         if parent[coset] != coset:
             return
-        for head, tail, forward, backward, mirror in relators:
+        for steps, backward, mirror in relators:
             if mirror:
                 a, b = mirror
                 row = rows[coset]
@@ -335,28 +326,18 @@ class CosetTable:
                     # read backward, runs through here
                     continue
             f = coset
-            for i, column in head:
+            for i, column in steps:
                 nxt = rows[f][column]
                 if nxt < 0:
                     break
                 f = nxt
             else:
-                if f < coset and tail:
-                    # one period of a proper power led to a coset scanned
-                    # before this one, whose closed cycle runs through here
-                    continue
-                for i, column in tail:
-                    nxt = rows[f][column]
-                    if nxt < 0:
-                        break
-                    f = nxt
-                else:
-                    # the forward walk covered the word; it must end where it began
-                    if f != coset:
-                        self._merge(f, coset)
-                        if parent[coset] != coset:
-                            return
-                    continue
+                # the forward walk covered the word; it must end where it began
+                if f != coset:
+                    self._merge(f, coset)
+                    if parent[coset] != coset:
+                        return
+                continue
             b = coset
             j = len(backward) - 1
             while True:
@@ -373,7 +354,7 @@ class CosetTable:
                         if parent[coset] != coset:
                             return
                     break
-                column = forward[i]
+                column = steps[i][1]
                 if i == j:
                     rows[f][column] = b
                     rows[b][backward[i]] = f
@@ -412,12 +393,8 @@ class CosetTable:
                     )
 
 
-def _compile(
-    path: tuple[int, ...], inverse: list[int], period: int = 0, mirror: tuple[int, ...] = ()
-) -> _Compiled:
-    steps = tuple(enumerate(path))
-    period = period or len(steps)
-    return steps[:period], steps[period:], path, tuple(map(inverse.__getitem__, path)), mirror
+def _compile(path: tuple[int, ...], inverse: list[int], mirror: tuple[int, ...] = ()) -> _Compiled:
+    return tuple(enumerate(path)), tuple(map(inverse.__getitem__, path)), mirror
 
 
 def _involutions(relators: Iterable[Word]) -> set[int]:
@@ -440,16 +417,6 @@ def _mirror_columns(path: tuple[int, ...], inverse: list[int]) -> tuple[int, ...
     if inverse[path[-1]] == path[-1] and path[:-1] == inverted[1:]:
         ends.append(path[-1])
     return (ends[0], ends[-1]) if ends else ()
-
-
-def _power_period(word: Sequence[int]) -> int:
-    """The length of the shortest u with word = u^m for some m >= 2, or 0
-    when the word is no proper power."""
-    n = len(word)
-    for p in range(1, n // 2 + 1):
-        if n % p == 0 and word[:p] * (n // p) == word:
-            return p
-    return 0
 
 
 def enumerate_cosets(
@@ -482,7 +449,7 @@ def enumerate_cosets(
 def _relator_first(table: CosetTable, relators: tuple[Word, ...]) -> None:
     paths = [p for p in map(table.fold, relators) if p]
     inverse = table.inverse
-    compiled = [_compile(p, inverse, _power_period(p), _mirror_columns(p, inverse)) for p in paths]
+    compiled = [_compile(p, inverse, _mirror_columns(p, inverse)) for p in paths]
     rows, parent = table.rows, table.parent
     alpha = 0
     while alpha < table.defined:

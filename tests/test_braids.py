@@ -286,6 +286,9 @@ class TestBraidText:
                 "braid 3 : s1 s2 s3^2 ; framings = 0,0,0",
                 "crossing index must be in 1..2 in token 's3^2'",
             ),
+            # fewer than two strands leave no crossing index to name a range of
+            ("braid 1 : s1 ; framings = 0", "a braid on 1 strand has no crossings, got token 's1'"),
+            ("braid 0 : s1^2 ; framings = ", "a braid on 0 strands has no crossings, got token 's1^2'"),
             (
                 "braid 2 : s1^2 s1^-2000000 ; framings = 0,0",
                 "exponent beyond 1000000 in braid token 's1^-2000000' at position 2",

@@ -229,6 +229,16 @@ class TestClassify:
         code, out, err = run(capsys, "classify", triple)
         assert (code, out, err) == (0, line, "")
 
+    @pytest.mark.parametrize("triple, code", [("1,1,0", 0), ("1_0,0,1", 2)])
+    def test_package_runs_as_module(self, capsys, triple, code):
+        # python -m artinpres from a source tree, with no installed script
+        ran = subprocess.run(
+            [sys.executable, "-m", "artinpres", "classify", triple],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert (ran.returncode, ran.stdout, ran.stderr) == run(capsys, "classify", triple)
+        assert ran.returncode == code
+
     def test_base_case_path(self, capsys):
         code, out, _ = run(capsys, "classify", "1,1,0")
         assert code == 0

@@ -16,11 +16,11 @@ from artinpres.coset import (
     _definition_first,
     _involutions,
     _mirror_columns,
-    _power_period,
     _relator_first,
     enumerate_cosets,
 )
 from artinpres.fourmanifolds import enumerate_trivial
+from artinpres.triangle import triangle_quotient
 from artinpres.twogen import build_r2
 
 T235 = FinitePresentation(2, ((1, 1), (2, 2, 2), (1, 2) * 5))
@@ -35,9 +35,9 @@ COINCIDENT = FinitePresentation(2, ((1, 2, -1, -2, -2), (2, 1, -2, -1, -1)))
 REFLECTED = FinitePresentation(
     3, ((1, 1), (2, 2), (1, 2) * 5, (1, 3, 1, -3), (2, 3, 2, 3), (3, 3, 3))
 )
-# <x | x^3, x^2> is trivial; a scan that tests the proper-power early stop
-# after the whole relator, not after one period, gives it order 2 under
-# Felsch, a fault that random draws can miss for a whole run
+# <x | x^3, x^2> is trivial, and both relators are proper powers of one
+# letter, on which a scan that stops short of the whole relator closes the
+# table too early, a fault that random draws can miss for a whole run
 CUBE_AND_SQUARE = FinitePresentation(1, ((1, 1, 1), (1, 1)))
 
 
@@ -344,13 +344,6 @@ class TestTableInternals:
             table.check_consistency()
 
     @pytest.mark.parametrize(
-        "word, period",
-        [((1,), 0), ((1, 1), 1), ((1, 2) * 3, 2), ((1, 2, 1), 0), ((1, 2, 1, 2, 1), 0), ((1,) * 4, 1)],
-    )
-    def test_power_period(self, word, period):
-        assert _power_period(word) == period
-
-    @pytest.mark.parametrize(
         "word, mirror",
         [
             # a Coxeter relator between two involutions, from either end
@@ -632,7 +625,7 @@ def small_presentations(draw):
     ngens = draw(st.integers(1, 3))
     letter = st.integers(-ngens, ngens).filter(bool)
     word = st.lists(letter, min_size=1, max_size=8)
-    # proper powers u^m, whose first u relator-first walks on its own
+    # proper powers u^m, such as the (x1 x2)^c of triangle_quotient
     power = st.builds(mul, st.lists(letter, min_size=1, max_size=3), st.integers(2, 5))
     # squares x_k^2, which make x_k an involution with one table column
     square = letter.map(lambda k: (k, k))
@@ -771,7 +764,7 @@ class TestClosedForms:
 
 
 # Reference: the scan and merge of the per-coset-row table before the
-# early stops on proper powers and on reflections and the inline finds.
+# reflection skip and the inline finds.
 # Every scan walks the whole relator forward, liveness is checked before
 # every relator, and every find is a rep() call made through a union
 # closure.  The current table must leave the same rows and parent links,
@@ -819,10 +812,9 @@ class IndexedWalkCosetTable(CosetTable):
 
     def _scan(self, coset, relators):
         rows, parent, deductions, n = self.rows, self.parent, self.deductions, self.ncols
-        for head, tail, _, backward, _ in relators:
+        for steps, backward, _ in relators:
             if parent[coset] != coset:
                 return
-            steps = head + tail
             f = coset
             for i, column in steps:
                 nxt = rows[f][column]
@@ -913,7 +905,18 @@ class TestAgainstIndexedWalkReference:
         deep_find = FinitePresentation(
             3, ((-1, 3, 2, 1, -3), (2, -3, 2, -1, 3, 3), (1, 3, 1, 2))
         )
-        for presentation in (T235, PSL27, COINCIDENT, coxeter_symmetric(6), deep_find):
+        # triangle_quotient's own (x1 x2)^c relators are proper powers with
+        # no reflection, as neither generator is an involution
+        presentations = (
+            T235,
+            PSL27,
+            COINCIDENT,
+            coxeter_symmetric(6),
+            deep_find,
+            triangle_quotient((1, 3, -2)),
+            triangle_quotient((3, 8, 5)),
+        )
+        for presentation in presentations:
             table = run_table(CosetTable, presentation, 100_000, strategy)
             reference = run_table(IndexedWalkCosetTable, presentation, 100_000, strategy)
             assert table_state(table) == table_state(reference)
