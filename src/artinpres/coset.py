@@ -26,12 +26,10 @@ strategy makes one scan call per coset it traces, against all the
 relators that apply there.  Both share one scan: one forward walk per
 relator, and a backward walk from the far end only where the forward walk
 meets an undefined entry.  Relator-first scans the cosets in increasing
-order, so it skips a relator a w, with a an involution and w equal to its
-own inverse, at a coset d whose a-entry is a coset e < d: the cycle closed
-at e is e -a-> d -w-> e, and w read from e, as w^-1 = w, leads back to d,
-so the cycle at d is closed too.  The same holds for w a at the last
-letter's column.  Every Coxeter relator (s t)^m between two involutions
-is of this kind.
+order, so at each coset it leaves out the reflected relators, such as
+every Coxeter relator (s t)^m between two involutions, whose cycle there
+the scan of an earlier coset has closed; _relator_first decides this once
+per coset, from the coset's row, and gives the argument.
 
 Two deterministic strategies are provided (Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, ch. 5).  RELATOR_FIRST is the
@@ -115,12 +113,8 @@ class Exceeded:
 EnumResult = Finite | Exceeded
 
 # A relator compiled for scanning: its letters as (index, column) pairs,
-# the column of each letter's inverse, read backward, and its mirror
-# columns, which relator-first's one skip rule reads: a pair for a relator
-# with a reflection (one column given twice when only one end qualifies),
-# empty otherwise.
-_Compiled = tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]
-
+# and the column of each letter's inverse, read backward.
+_Compiled = tuple[tuple[tuple[int, int], ...], tuple[int, ...]]
 
 class _BudgetExhausted(Exception):
     """The table refused to define a coset past its budget."""
@@ -291,40 +285,21 @@ class CosetTable:
         """Trace, in order, the cycle each compiled relator forces at a
         coset; returns as soon as the coset dies.
 
-        Walks forward along defined entries, then, if the walk meets an
-        undefined entry, backward from the far end.  A one-letter gap
-        becomes a deduction, a mismatch at the meeting point a coincidence.
-        Without a deduction stack (relator-first), wider gaps are bridged by
-        defining new cosets, so each scan completes unless the budget runs
-        out; Felsch leaves them for a later definition.  Both walks follow
-        live rows, so _merge gets the two distinct live cosets it requires.
-
-        One rule skips a scan.  Only relator-first compiles mirror columns,
-        and it scans the cosets in increasing order.  A relator with mirror
-        columns is skipped with no walk when this coset's entry in either
-        one is a coset e below it.  Say the relator is a w with a an
-        involution and w equal to its own inverse, and e = coset * a.  Then
-        e is live, since live rows name only live cosets, so it was scanned
-        against the relator, and the cycle that scan closed,
-        e -a-> coset -w-> e, which every merge since has kept closed, read
-        backward gives e -w-> coset, as w^-1 = w.  So this coset's cycle,
-        coset -a-> e -w-> coset, is closed too.  For w a and its last
-        column the argument is the mirror image.  The skip neither defines
-        nor merges: every other scan, and so the table, is as without it.
-        Only a merge can kill the coset, so liveness is checked on entry
-        and after each merge.
+        Walks every relator it is given: forward along defined entries,
+        then, if the walk meets an undefined entry, backward from the far
+        end.  A one-letter gap becomes a deduction, a mismatch at the
+        meeting point a coincidence.  Without a deduction stack
+        (relator-first), wider gaps are bridged by defining new cosets, so
+        each scan completes unless the budget runs out; Felsch leaves them
+        for a later definition.  Both walks follow live rows, so _merge
+        gets the two distinct live cosets it requires.  Only a merge can
+        kill the coset, so liveness is checked on entry and after each
+        merge.
         """
         rows, parent, deductions, n = self.rows, self.parent, self.deductions, self.ncols
         if parent[coset] != coset:
             return
-        for steps, backward, mirror in relators:
-            if mirror:
-                a, b = mirror
-                row = rows[coset]
-                if 0 <= row[a] < coset or 0 <= row[b] < coset:
-                    # the cycle a coset scanned before this one closed,
-                    # read backward, runs through here
-                    continue
+        for steps, backward in relators:
             f = coset
             for i, column in steps:
                 nxt = rows[f][column]
@@ -393,8 +368,8 @@ class CosetTable:
                     )
 
 
-def _compile(path: tuple[int, ...], inverse: list[int], mirror: tuple[int, ...] = ()) -> _Compiled:
-    return tuple(enumerate(path)), tuple(map(inverse.__getitem__, path)), mirror
+def _compile(path: tuple[int, ...], inverse: list[int]) -> _Compiled:
+    return tuple(enumerate(path)), tuple(map(inverse.__getitem__, path))
 
 
 def _involutions(relators: Iterable[Word]) -> set[int]:
@@ -403,8 +378,9 @@ def _involutions(relators: Iterable[Word]) -> set[int]:
 
 
 def _mirror_columns(path: tuple[int, ...], inverse: list[int]) -> tuple[int, ...]:
-    """The pair of columns relator-first checks before scanning a folded
-    relator path; empty when the path has no reflection.
+    """The pair of columns at which relator-first may leave a folded
+    relator path out of a coset's scan; empty when the path has no
+    reflection.
 
     An end of the path qualifies when its column is its own inverse and
     the rest of the path, without that column, equals its own inverse.
@@ -447,14 +423,52 @@ def enumerate_cosets(
 
 
 def _relator_first(table: CosetTable, relators: tuple[Word, ...]) -> None:
-    paths = [p for p in map(table.fold, relators) if p]
+    """Scan each live coset in increasing order against the relators, then
+    define its remaining entries.
+
+    A relator with mirror columns is left out at a coset alpha whose entry
+    in either column is a coset e < alpha.  Say the relator is a w with a
+    an involution and w equal to its own inverse, and e = alpha * a.  Then
+    e is live, since live rows name only live cosets, so it was scanned
+    against the relator, and the cycle that scan closed,
+    e -a-> alpha -w-> e, which every merge since has kept closed, read
+    backward gives e -w-> alpha, as w^-1 = w.  So alpha's cycle,
+    alpha -a-> e -w-> alpha, is closed too.  For w a and its last column
+    the argument is the mirror image.  The rule is read off alpha's row
+    once, before its scan; while alpha lives, a merge only lowers or
+    defines its entries, so each relator left out would walk a closed
+    cycle, which neither defines nor merges, and the table is as if every
+    relator were walked.  The relators to walk depend only on which
+    entries of the row name an earlier coset, so they are kept per such
+    pattern, for at most 256 patterns; past that, a new pattern selects
+    them afresh at each coset.
+    """
     inverse = table.inverse
-    compiled = [_compile(p, inverse, _mirror_columns(p, inverse)) for p in paths]
+    paths = [p for p in map(table.fold, relators) if p]
+    compiled = [_compile(p, inverse) for p in paths]
+    # each relator with its mirror pair, (-1, -1) for one that has none
+    mirrored = [(c, *(_mirror_columns(p, inverse) or (-1, -1))) for c, p in zip(compiled, paths)]
+    if all(a < 0 for _, a, _ in mirrored):
+        mirrored = []
+    walks: dict[bytes, list[_Compiled]] = {}
     rows, parent = table.rows, table.parent
     alpha = 0
     while alpha < table.defined:
         if parent[alpha] == alpha:
-            table._scan(alpha, compiled)
+            walk = compiled
+            if mirrored:
+                row = rows[alpha]
+                # which entries name an earlier coset; -1 is no coset
+                if -1 in row:
+                    earlier = bytes(0 <= e < alpha for e in row)
+                else:
+                    earlier = bytes(map(alpha.__gt__, row))
+                walk = walks.get(earlier)
+                if walk is None:
+                    walk = [c for c, a, b in mirrored if a < 0 or not (earlier[a] or earlier[b])]
+                    if len(walks) < 256:  # Coxeter S8 meets 128
+                        walks[earlier] = walk
+            table._scan(alpha, walk)
             # a row is mostly full once scanned, which `in` checks in C
             if parent[alpha] == alpha and -1 in (row := rows[alpha]):
                 for column, target in enumerate(row):

@@ -1,3 +1,4 @@
+import random
 from math import factorial
 from operator import mul
 from unittest.mock import patch
@@ -13,6 +14,7 @@ from artinpres.coset import (
     FinitePresentation,
     Strategy,
     _BudgetExhausted,
+    _compile,
     _definition_first,
     _involutions,
     _mirror_columns,
@@ -62,6 +64,25 @@ def rotated(presentation):
     return FinitePresentation(
         presentation.ngens, tuple(r[1:] + r[:1] for r in presentation.relators)
     )
+
+
+def shuffled(presentation, seed=0):
+    """The presentation with each relator rotated and the relators
+    reordered by a fixed seed; neither changes the group."""
+    rng = random.Random(seed)
+    relators = []
+    for r in presentation.relators:
+        k = rng.randrange(len(r))
+        relators.append(r[k:] + r[:k])
+    rng.shuffle(relators)
+    return FinitePresentation(presentation.ngens, tuple(relators))
+
+
+def elementary_abelian(k):
+    """<x_1..x_k | x_i^2, (x_i x_j)^2>, of order 2^k."""
+    relators = [(i, i) for i in range(1, k + 1)]
+    relators += [(i, j) * 2 for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    return FinitePresentation(k, tuple(relators))
 
 
 def presentation_of(t):
@@ -764,11 +785,25 @@ class TestClosedForms:
 
 
 # Reference: the scan and merge of the per-coset-row table before the
-# reflection skip and the inline finds.
+# reflection skip and the inline finds, and a relator-first loop that
+# walks every relator at every coset, so leaves no reflected relator out.
 # Every scan walks the whole relator forward, liveness is checked before
 # every relator, and every find is a rep() call made through a union
 # closure.  The current table must leave the same rows and parent links,
 # so the same representatives, after every enumeration.
+
+
+def relator_first_walking_every_relator(table, relators):
+    compiled = [_compile(p, table.inverse) for p in map(table.fold, relators) if p]
+    alpha = 0
+    while alpha < table.defined:
+        if table.is_live(alpha):
+            table._scan(alpha, compiled)
+            if table.is_live(alpha):
+                for column, target in enumerate(table.rows[alpha]):
+                    if target < 0:
+                        table._define(alpha, column)
+        alpha += 1
 
 
 class IndexedWalkCosetTable(CosetTable):
@@ -812,7 +847,7 @@ class IndexedWalkCosetTable(CosetTable):
 
     def _scan(self, coset, relators):
         rows, parent, deductions, n = self.rows, self.parent, self.deductions, self.ncols
-        for steps, backward, _ in relators:
+        for steps, backward in relators:
             if parent[coset] != coset:
                 return
             f = coset
@@ -856,9 +891,15 @@ class CheckedIndexedWalkCosetTable(Checked, IndexedWalkCosetTable):
 
 
 def run_table(table_class, presentation, budget, strategy):
-    """The table enumerate_cosets builds, left as the run ends."""
+    """The table enumerate_cosets builds, left as the run ends; a
+    reference table runs the reference relator-first loop."""
     table = table_class(presentation.ngens, budget, _involutions(presentation.relators))
-    run = _relator_first if strategy is Strategy.RELATOR_FIRST else _definition_first
+    if strategy is Strategy.DEFINITION_FIRST:
+        run = _definition_first
+    elif issubclass(table_class, IndexedWalkCosetTable):
+        run = relator_first_walking_every_relator
+    else:
+        run = _relator_first
     try:
         run(table, presentation.relators)
     except _BudgetExhausted:
@@ -940,4 +981,20 @@ class TestAgainstIndexedWalkReference:
     def test_random_coxeter_presentations(self, presentation, budget, strategy):
         table = run_table(CheckedCosetTable, presentation, budget, strategy)
         reference = run_table(CheckedIndexedWalkCosetTable, presentation, budget, strategy)
+        assert table_state(table) == table_state(reference)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize(
+        "presentation, order",
+        # which entries of a scanned coset's row name an earlier coset: in
+        # 2^k each coset has its own pattern, more than relator-first
+        # keeps, while the 720 cosets of S6 share 32
+        [(shuffled(elementary_abelian(k)), 2**k) for k in (10, 12)]
+        + [(shuffled(coxeter_symmetric(6)), 720)],
+        ids=["2^10", "2^12", "S6 shuffled"],
+    )
+    def test_row_patterns(self, presentation, order, strategy):
+        table = run_table(CosetTable, presentation, 100_000, strategy)
+        reference = run_table(IndexedWalkCosetTable, presentation, 100_000, strategy)
+        assert table.live == order
         assert table_state(table) == table_state(reference)
