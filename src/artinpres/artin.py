@@ -25,14 +25,12 @@ from .words import (
     MAX_EXPONENT,
     ParseError,
     Word,
-    _WORD_INDEX_ERROR,
     _bounded,
     _join,
-    _reduced,
+    _read_word,
     format_word,
     invert,
     max_generator,
-    parse_runs,
     reduce_relators,
 )
 
@@ -314,9 +312,9 @@ def parse_presentation(text: str) -> tuple[int, tuple[Word, ...]]:
     Line 1 is ``artin <n>``, the generator count; any number of lines
     ``r<i> = <word>`` follow in order, so T(2,3,5) can feed enumerate_cosets.
     ArtinPresentation, artin_defect and exponent_matrix raise ValueError
-    unless there are n.  Relators are read as parse_word reads them,
-    re-reduced on parse.
-    The largest index among a relator's distinct tokens bounds its letters';
+    unless there are n.  Relators are read by parse_word's reader,
+    re-reduced on parse, which also gives the largest index among a
+    relator's distinct tokens.  That index bounds the relator's letters;
     only past n is the reduced relator scanned with max_generator, so a
     token beyond x_n that cancels is accepted.  No Artin check is performed,
     so the result can feed artin_defect directly.  Numbers are read as
@@ -337,10 +335,8 @@ def parse_presentation(text: str) -> tuple[int, tuple[Word, ...]]:
         match = _RELATOR_LINE.fullmatch(line)
         if match is None or match.group(1) != str(i):
             raise ParseError(f"expected 'r{i} = <word>', got {line!r}")
-        indices = [0]  # the index of each distinct token
-        tokens, index_ok = match.group(2).split(), lambda k: indices.append(k) or k >= 1
-        word = _reduced(parse_runs(tokens, "x", "word", index_ok, _WORD_INDEX_ERROR, "1"))
-        if max(indices) > n and max_generator(word) > n:
+        word, largest = _read_word(match.group(2))
+        if largest > n and max_generator(word) > n:
             raise ParseError(f"relator r{i} uses a generator beyond x{n}")
         relators.append(word)
     return n, tuple(relators)

@@ -147,10 +147,8 @@ def braid_to_artin(fp: FramedPureBraid) -> ArtinPresentation:
     relator is a join of reduced words in x_1 .. x_n, so only the Artin
     check runs on the result.
     """
-    images = generator_images(fp.braid)
     relators = []
-    for i, image in enumerate(images, start=1):
-        conjugator, target = _split_conjugate(image)
+    for i, (conjugator, target) in braid_automorphism(fp.braid).items():
         if target != i:
             raise RuntimeError(f"pure braid moved generator x{i} to x{target}")
         tail = invert(conjugator)

@@ -29,14 +29,8 @@ from .artin import (
 )
 from .braids import artin_inverse, braid_to_artin, parse_braid
 from .coset import Finite, FinitePresentation, Strategy, enumerate_cosets
-from .fourmanifolds import (
-    MovePath,
-    classify_x4_with_path,
-    enumerate_trivial,
-    export_kirby,
-    form_invariants,
-    trivial_family,
-)
+from .fourmanifolds import MovePath, classify_x4_with_path, export_kirby, form_invariants
+from .triangle import enumerate_trivial, trivial_family
 from .twogen import build_r2, format_tuple3, parse_tuple3, recognize_r2, tuple_add, tuple_neg
 from .words import ParseError, _integer, format_word
 

@@ -1,5 +1,7 @@
-"""Tuple moves, trivial-group families, intersection-form invariants, and
-the closed 4-manifold attached to each trivial two-generator presentation.
+"""The paper's second theorem: the closed 4-manifold attached to each
+trivial two-generator presentation, found by tuple moves and checked
+against intersection-form invariants.  Which triples are trivial, and their
+families T1-T5, is the first theorem, in triangle.
 
 Each r(a, b, c) is the boundary data of a 4-dimensional 2-handlebody whose
 Kirby diagram is the closure of s1^(2c) with framings a and b, and whose
@@ -19,7 +21,6 @@ orientation-reversed complex projective plane).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -56,63 +57,6 @@ def flipc(t: Tuple3) -> Tuple3:
 def mirror(t: Tuple3) -> Tuple3:
     """Mirror the diagram; negates the triple and reverses orientation."""
     return tuple_neg(t)
-
-
-class Family(Enum):
-    """The five parameter families of triples presenting the trivial group."""
-
-    T1 = "T1"
-    T2 = "T2"
-    T3 = "T3"
-    T4 = "T4"
-    T5 = "T5"
-
-
-def trivial_family(t: Tuple3) -> Family | None:
-    """First family containing the triple, or None when r(a, b, c) is not
-    trivial, which triangle._is_trivial decides.
-
-    T1: (+-1, +-1, 0).  T2: +-(2, 1, +-1) and +-(1, 2, +-1).
-    T3: +-(1, 5, 2), +-(5, 1, 2), +-(2, 5, 3), +-(5, 2, 3).
-    T4: (a, 0, +-1) and (0, b, +-1).  T5: (c + 1, c - 1, c) and
-    (c - 1, c + 1, c).  On a trivial triple, c = 0 forces ab = +-1 (T1);
-    |c| = 1 gives ab = 2 (T2) or 0 (T4, ahead of T5); for |c| >= 2,
-    a = c + e with e = +-1 (a = c is impossible) gives b = c - e (T5) or
-    (c + e) | 2, the eight T3 triples, and likewise with b for a.
-    """
-    if not _is_trivial(t):
-        return None
-    a, b, c = t
-    if c == 0:
-        return Family.T1
-    if abs(c) == 1:
-        return Family.T2 if a * b == 2 else Family.T4
-    return Family.T5 if a + b == 2 * c else Family.T3
-
-
-def enumerate_trivial(bound: int) -> Iterator[Tuple3]:
-    """All family members with max(|a|, |b|, |c|) <= bound, each once, in
-    lexicographic order, streamed row by row in a; the bound is checked at
-    the call.  Row 0 is every (0, b, +-1) (T4).  Row a != 0 sorts a few
-    candidates: |c| <= 1 or |a - c| <= 1 with b solving ab = c^2 +- 1, and
-    |b - c| <= 1, which forces |a - b| <= 4 since b (a - b - 2e) = e^2 +- 1
-    for c = b + e (b = 0 gives |c| = 1).  O(bound) time, O(1) memory."""
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    return _trivial_rows(bound)
-
-
-def _trivial_rows(bound: int) -> Iterator[Tuple3]:
-    span = range(-bound, bound + 1)
-    for a in span:
-        if a == 0:
-            yield from ((0, b, c) for b in span for c in (-1, 1))
-            continue
-        near = (-1, 0, 1, a - 1, a, a + 1)
-        row = {(a, n // a, c) for c in near for n in (c * c - 1, c * c + 1) if n % a == 0}
-        row.update((a, b, c) for b in range(a - 4, a + 5) for c in (b - 1, b, b + 1)
-                   if abs(a * b - c * c) == 1)
-        yield from sorted(t for t in row if max(abs(t[1]), abs(t[2])) <= bound and _is_trivial(t))
 
 
 class Parity(Enum):
@@ -218,25 +162,21 @@ def reduce_to_base(t: Tuple3) -> MovePath:
     def size(u: Tuple3) -> int:
         return abs(u[0]) + abs(u[1]) + abs(u[2])
 
-    def push(move: str, result: Tuple3) -> None:
-        nonlocal current
-        steps.append(MoveStep(move, result))
-        current = result
-
     while _base_class(current) is None:
         s = size(current)
         if _base_class(swapped := swap(current)) is not None:
-            push("swap", swapped)
+            move, current = "swap", swapped
         elif size(first := slide1(current)) < s:
-            push("slide1", first)
+            move, current = "slide1", first
         elif size(second := slide2(current)) < s:
-            push("slide2", second)
+            move, current = "slide2", second
         elif current[2] == -1:
-            push("flipc", flipc(current))
+            move, current = "flipc", flipc(current)
         elif current[0] + current[1] < 0:
-            push("mirror", mirror(current))
+            move, current = "mirror", mirror(current)
         else:
             raise RuntimeError(f"no shrinking move available at {current} (from {t})")
+        steps.append(MoveStep(move, current))
     return MovePath(t, tuple(steps))
 
 

@@ -1,5 +1,6 @@
-"""Triangle (von Dyck) group quotients and the certificates they provide
-for the two-generator family.
+"""The paper's first theorem: which two-generator Artin presentations
+r(a, b, c) present the trivial group (_is_trivial), their five families
+T1-T5 (trivial_family, enumerate_trivial), and certificates either way.
 
 T(l, m, n) = <x, y | x^l, y^m, (xy)^n> is finite exactly when
 1/l + 1/m + 1/n > 1, that is when _excess(l, m, n) > 0, and then has
@@ -8,14 +9,13 @@ r(a, b, c) yields a surjection of its group onto T(|a-c|, |b-c|, |c|)
 (triangle_quotient), so whenever those three values are all at least 2
 the group is certified nontrivial, and infinite when the excess is at
 most 0 (triangle_verdict).  Triviality certificates go the other way: a
-straight-line program that writes x1 and x2 as products of conjugates of
-the relators, checked by free reduction.  The programs have 2 steps on T1
-and T4 and 3 on T5, and a check on T4 or T5 builds about 2(|r1| + |r2|)
-letters; the 16 T2 and T3 triples take 4 or 9 steps.
+straight-line program, chosen by family, that writes x1 and x2 as
+products of conjugates of the relators, checked by free reduction.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -88,6 +88,63 @@ def _is_trivial(t: Tuple3) -> bool:
     return abs(a * b - c * c) == 1 and min(abs(a - c), abs(b - c), abs(c)) <= 1
 
 
+class Family(Enum):
+    """The five parameter families of triples presenting the trivial group."""
+
+    T1 = "T1"
+    T2 = "T2"
+    T3 = "T3"
+    T4 = "T4"
+    T5 = "T5"
+
+
+def trivial_family(t: Tuple3) -> Family | None:
+    """First family containing the triple, or None when r(a, b, c) is not
+    trivial, which _is_trivial decides.
+
+    T1: (+-1, +-1, 0).  T2: +-(2, 1, +-1) and +-(1, 2, +-1).
+    T3: +-(1, 5, 2), +-(5, 1, 2), +-(2, 5, 3), +-(5, 2, 3).
+    T4: (a, 0, +-1) and (0, b, +-1).  T5: (c + 1, c - 1, c) and
+    (c - 1, c + 1, c).  On a trivial triple, c = 0 forces ab = +-1 (T1);
+    |c| = 1 gives ab = 2 (T2) or 0 (T4, ahead of T5); for |c| >= 2,
+    a = c + e with e = +-1 (a = c is impossible) gives b = c - e (T5) or
+    (c + e) | 2, the eight T3 triples, and likewise with b for a.
+    """
+    if not _is_trivial(t):
+        return None
+    a, b, c = t
+    if c == 0:
+        return Family.T1
+    if abs(c) == 1:
+        return Family.T2 if a * b == 2 else Family.T4
+    return Family.T5 if a + b == 2 * c else Family.T3
+
+
+def enumerate_trivial(bound: int) -> Iterator[Tuple3]:
+    """All family members with max(|a|, |b|, |c|) <= bound, each once, in
+    lexicographic order, streamed row by row in a; the bound is checked at
+    the call.  Row 0 is every (0, b, +-1) (T4).  Row a != 0 sorts a few
+    candidates: |c| <= 1 or |a - c| <= 1 with b solving ab = c^2 +- 1, and
+    |b - c| <= 1, which forces |a - b| <= 4 since b (a - b - 2e) = e^2 +- 1
+    for c = b + e (b = 0 gives |c| = 1).  O(bound) time, O(1) memory."""
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
+    return _trivial_rows(bound)
+
+
+def _trivial_rows(bound: int) -> Iterator[Tuple3]:
+    span = range(-bound, bound + 1)
+    for a in span:
+        if a == 0:
+            yield from ((0, b, c) for b in span for c in (-1, 1))
+            continue
+        near = (-1, 0, 1, a - 1, a, a + 1)
+        row = {(a, n // a, c) for c in near for n in (c * c - 1, c * c + 1) if n % a == 0}
+        row.update((a, b, c) for b in range(a - 4, a + 5) for c in (b - 1, b, b + 1)
+                   if abs(a * b - c * c) == 1)
+        yield from sorted(t for t in row if max(abs(t[1]), abs(t[2])) <= bound and _is_trivial(t))
+
+
 def _step(name: str, *factors: tuple[str, int]) -> CertificateStep:
     """A step without its factors of exponent 0, which a flip would leave
     unchanged."""
@@ -96,7 +153,7 @@ def _step(name: str, *factors: tuple[str, int]) -> CertificateStep:
 
 def triviality_certificate(t: Tuple3) -> TrivialityCertificate | None:
     """A straight-line program proving r(a, b, c) trivial, or None exactly
-    when _is_trivial(t) is false.
+    when _is_trivial(t) is false; trivial_family chooses the program.
 
     With y = x1 x2, p = a - c and q = b - c the relators are r1 = x1^p y^c
     and r2 = x2^q y^c.
@@ -120,46 +177,39 @@ def triviality_certificate(t: Tuple3) -> TrivialityCertificate | None:
     r1^-1 r2 = y^-c x1 x2 y^c = y, so Y = r1^-1 r2, X1 = Y^c r1^-1 and
     X2 = X1^-1 Y.
 
-    T2 and T3, the 16 other triples: a relator whose other exponent is 0
-    gives y = r_i^c (4 steps); otherwise, for |p| = 1 or |q| = 1, r_i y^-c
-    is x_i or its inverse, which writes the other generator in y and
-    leaves y^(+-det) as a product of relator conjugates, and for |c| = 1
-    the same steps run with x1 in place of y (9 steps).
+    T3 (8 triples, |c| >= 2), 9 steps: exactly one of |p| and |q| is 1,
+    so r_i y^-c is x_i or its inverse, which writes the other generator in
+    y and leaves y^(+-det) as a product of relator conjugates.
+
+    T2 (8 triples, |c| = 1, ab = 2): a relator whose other exponent is 0
+    gives y = r_i^c (4 steps); otherwise the T3 steps run with x1 in place
+    of y (9 steps).
 
     Every factor of exponent 0 is left out.  Every step has a few factors,
     so check_certificate runs in O(|a| + |b| + |c|) letters; on T4 and T5
     it builds about 2(|r1| + |r2|) letters over its two runs.
     """
-    if not _is_trivial(t):
+    family = trivial_family(t)
+    if family is None:
         return None
     a, b, c = t
-    det = a * b - c * c
     p, q = a - c, b - c
-    if c == 0:  # T1: |p| = |q| = 1
+    if family is Family.T1:  # p = a and q = b
         return (("X1", (("r1", p),)), ("X2", (("r2", q),)))
-    # T4: every (0, b, +-1) and (a, 0, +-1) is trivial (det = -1)
-    if a == 0 and c == 1:
-        return (("X2", (("r1", 1),)), _step("X1", ("X2", 1 - b), ("r2", 1), ("X2", -1)))
-    if a == 0 and c == -1:
-        return (_step("X1", ("r1", -b), ("r2", -1)), ("X2", (("X1", -1), ("r1", -1), ("X1", 1))))
-    if b == 0 and c == 1:
-        return (_step("X2", ("r1", 1), ("r2", -a)), ("X1", (("X2", 1), ("r2", 1), ("X2", -1))))
-    if b == 0 and c == -1:
+    if family is Family.T4:  # a = 0 or b = 0
+        if a == 0 and c == 1:
+            return (("X2", (("r1", 1),)), _step("X1", ("X2", 1 - b), ("r2", 1), ("X2", -1)))
+        if a == 0:
+            x1 = _step("X1", ("r1", -b), ("r2", -1))
+            return (x1, ("X2", (("X1", -1), ("r1", -1), ("X1", 1))))
+        if c == 1:
+            return (_step("X2", ("r1", 1), ("r2", -a)), ("X1", (("X2", 1), ("r2", 1), ("X2", -1))))
         return (("X1", (("r2", -1),)), _step("X2", ("X1", -1), ("r1", -1), ("X1", a + 1)))
-    if a + b == 2 * c:  # T5: det = -p^2, so p = -q = +-1
-        if p == 1:
-            return (("Y", (("r1", 1), ("r2", -1))), ("X1", (("r1", 1), ("Y", -c))), _other_output(1))
-        return (("Y", (("r1", -1), ("r2", 1))), ("X1", (("Y", c), ("r1", -1))), _other_output(1))
-    # T2 and T3
-    if p == 0 or q == 0:  # det = cq or cp, so |c| = 1 and the other is +-1
-        i, j, e = (1, 2, q) if p == 0 else (2, 1, p)
-        return (
-            ("Y", ((f"r{i}", c),)),
-            ("B", ((f"r{j}", 1), ("Y", -c))),
-            (f"X{j}", (("B", e),)),
-            _other_output(j),
-        )
-    if abs(p) == 1 or abs(q) == 1:  # exactly one of them
+    if family is Family.T5:  # p = -q = +-1
+        x1 = (("r1", 1), ("Y", -c)) if p == 1 else (("Y", c), ("r1", -1))
+        return (("Y", (("r1", p), ("r2", -p))), ("X1", x1), _other_output(1))
+    det = a * b - c * c
+    if family is Family.T3:  # exactly one of |p| and |q| is 1
         i, j, e, f = (1, 2, p, q) if abs(p) == 1 else (2, 1, q, p)
         d = e * det  # G maps to y^d when r1, r2 -> 1
         return (
@@ -173,7 +223,16 @@ def triviality_certificate(t: Tuple3) -> TrivialityCertificate | None:
             (f"X{i}", (("B", e),)),
             _other_output(i),
         )
-    d = -c * det  # |c| = 1; G maps to x1^d when r1, r2 -> 1
+    # T2: |c| = 1 and ab = 2
+    if p == 0 or q == 0:  # det = cq or cp, so the other is +-1
+        i, j, e = (1, 2, q) if p == 0 else (2, 1, p)
+        return (
+            ("Y", ((f"r{i}", c),)),
+            ("B", ((f"r{j}", 1), ("Y", -c))),
+            (f"X{j}", (("B", e),)),
+            _other_output(j),
+        )
+    d = -c * det  # G maps to x1^d when r1, r2 -> 1
     return (
         ("A", (("x1", -p), ("r1", 1))),
         ("W", (("A", c),)),

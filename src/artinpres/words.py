@@ -256,6 +256,20 @@ def _integer(text: str) -> int:
 _WORD_INDEX_ERROR = "generator index must be >= 1 in token {token!r} at position {position}"
 
 
+def _read_word(text: str) -> tuple[Word, int]:
+    """parse_word's reader: the word and the largest index among its
+    distinct tokens, 0 when there is none.  That index bounds the word's
+    letters, so a caller checks a range without a scan of the word."""
+    tokens = text.split()
+    if not tokens:
+        raise ParseError("empty word text; write '1' for the identity")
+    indices = [0]  # the index of each distinct token
+    letters = parse_runs(
+        tokens, "x", "word", lambda k: indices.append(k) or k >= 1, _WORD_INDEX_ERROR, "1"
+    )
+    return _reduced(letters), max(indices)
+
+
 def parse_word(text: str) -> Word:
     """Parse whitespace-separated ``x<k>`` / ``x<k>^<e>`` tokens.
 
@@ -263,10 +277,7 @@ def parse_word(text: str) -> Word:
     zero.  The result is freely reduced; parse_runs has already rejected
     every index below 1, so no letter is 0.
     """
-    tokens = text.split()
-    if not tokens:
-        raise ParseError("empty word text; write '1' for the identity")
-    return _reduced(parse_runs(tokens, "x", "word", lambda k: k >= 1, _WORD_INDEX_ERROR, "1"))
+    return _read_word(text)[0]
 
 
 def format_word(word: Word) -> str:

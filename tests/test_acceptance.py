@@ -19,7 +19,6 @@ from artinpres.fourmanifolds import (
     FourManifold,
     classify_x4,
     classify_x4_with_path,
-    enumerate_trivial,
     flipc,
     form_invariants,
     mirror,
@@ -27,9 +26,8 @@ from artinpres.fourmanifolds import (
     slide1,
     slide2,
     swap,
-    trivial_family,
 )
-from artinpres.triangle import Triviality, triviality_status
+from artinpres.triangle import Triviality, enumerate_trivial, trivial_family, triviality_status
 from artinpres.twogen import build_r2, tuple_add
 
 from conftest import random_framed_pure_braid

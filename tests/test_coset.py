@@ -21,8 +21,7 @@ from artinpres.coset import (
     _relator_first,
     enumerate_cosets,
 )
-from artinpres.fourmanifolds import enumerate_trivial
-from artinpres.triangle import triangle_quotient
+from artinpres.triangle import enumerate_trivial, triangle_quotient
 from artinpres.twogen import build_r2
 
 T235 = FinitePresentation(2, ((1, 1), (2, 2, 2), (1, 2) * 5))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from artinpres.coset import Finite, FinitePresentation, enumerate_cosets
 from artinpres.fourmanifolds import (
     _REVERSED,
-    Family,
     FourManifold,
     MovePath,
     MoveStep,
@@ -16,7 +15,6 @@ from artinpres.fourmanifolds import (
     _invariant_class,
     classify_x4,
     classify_x4_with_path,
-    enumerate_trivial,
     export_kirby,
     flipc,
     form_invariants,
@@ -25,9 +23,14 @@ from artinpres.fourmanifolds import (
     slide1,
     slide2,
     swap,
-    trivial_family,
 )
-from artinpres.triangle import Triviality, triviality_status
+from artinpres.triangle import (
+    Family,
+    Triviality,
+    enumerate_trivial,
+    trivial_family,
+    triviality_status,
+)
 from artinpres.twogen import build_r2, tuple_neg
 from conftest import large_members
 

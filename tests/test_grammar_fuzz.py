@@ -6,6 +6,7 @@ echoes it as typed."""
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,7 @@ from artinpres.artin import format_presentation, parse_presentation
 from artinpres.braids import format_braid, parse_braid
 from artinpres.cli import main
 from artinpres.twogen import format_tuple3, parse_tuple3
-from artinpres.words import ParseError, format_word, parse_word
+from artinpres.words import ParseError, format_word, max_generator, parse_word
 
 # Numbers as the grammars write them and as int() alone would take them
 # (underscores, non-ASCII digits), plus some past the caps.
@@ -100,6 +101,26 @@ def test_parse_presentation_raises_only_parse_error(text):
     except ParseError:
         return
     assert parse_presentation(format_presentation(n, relators)) == (n, relators)
+
+
+# A relator line is read as parse_word reads its text: the same word, kept
+# when its letters lie in x_1 .. x_n, and the same message for a bad token.
+@settings(max_examples=300, deadline=None)
+@given(word_texts.filter(lambda w: w.strip() and w.splitlines() == [w]), st.integers(0, 5))
+def test_relator_line_reads_as_parse_word(text, n):
+    presentation = f"artin {n}\nr1 = {text}"
+    try:
+        word = parse_word(text)
+    except ParseError as error:
+        with pytest.raises(ParseError) as caught:
+            parse_presentation(presentation)
+        assert str(caught.value) == str(error)
+        return
+    if max_generator(word) <= n:
+        assert parse_presentation(presentation) == (n, (word,))
+    else:
+        with pytest.raises(ParseError, match=f"^relator r1 uses a generator beyond x{n}$"):
+            parse_presentation(presentation)
 
 
 @settings(max_examples=300, deadline=None)

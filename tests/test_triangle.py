@@ -1,4 +1,5 @@
 from fractions import Fraction
+from hashlib import sha256
 from itertools import permutations, product
 
 import pytest
@@ -8,15 +9,17 @@ from hypothesis import strategies as st
 from artinpres import coset, triangle, twogen, words
 from artinpres.artin import parse_presentation
 from artinpres.coset import Exceeded, Finite, FinitePresentation, Strategy, enumerate_cosets
-from artinpres.fourmanifolds import Family, enumerate_trivial, trivial_family
 from artinpres.triangle import (
+    Family,
     TriangleVerdict,
     Triviality,
     TrivialityResult,
     _excess,
     check_certificate,
+    enumerate_trivial,
     triangle_quotient,
     triangle_verdict,
+    trivial_family,
     triviality_certificate,
     triviality_status,
 )
@@ -300,6 +303,22 @@ class TestTrivialityCertificate:
             Family.T4: {2},
             Family.T5: {3},
         }
+
+    # Digests of the certificate bytes: a program that changes for any
+    # member up to 50, or for any triple of the cube, shows here.
+    def test_member_certificates_pinned(self):
+        rows = [
+            (t, trivial_family(t).value, triviality_certificate(t)) for t in enumerate_trivial(50)
+        ]
+        assert len(rows) == 614
+        digest = sha256(repr(rows).encode()).hexdigest()
+        assert digest == "ae1e578d8dcd041a1eec8032dfbd30048a439a5e08c0929da13546a543324b56"
+
+    def test_cube_certificates_pinned(self):
+        span = range(-12, 13)
+        rows = [(t, triviality_certificate(t)) for t in product(span, span, span)]
+        digest = sha256(repr(rows).encode()).hexdigest()
+        assert digest == "d28fc91f6d593ff39eb1bfaeb494d9d02361abf4ff977d9e62f573cf44982fe0"
 
     def test_each_run_is_needed(self):
         # right images but not in the normal closure, and the reverse
