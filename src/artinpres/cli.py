@@ -28,7 +28,7 @@ from .artin import (
     parse_presentation,
 )
 from .braids import artin_inverse, braid_to_artin, parse_braid
-from .coset import Finite, FinitePresentation, Strategy, enumerate_cosets
+from .coset import Finite, FinitePresentation, enumerate_cosets
 from .fourmanifolds import MovePath, classify_x4_with_path, export_kirby, form_invariants
 from .triangle import enumerate_trivial, trivial_family
 from .twogen import build_r2, format_tuple3, parse_tuple3, recognize_r2, tuple_add, tuple_neg
@@ -131,11 +131,7 @@ def _cmd_enum_trivial(args: argparse.Namespace) -> None:
 
 def _cmd_coset(args: argparse.Namespace) -> None:
     n, relators = parse_presentation(_read_input(args.file))
-    result = enumerate_cosets(
-        FinitePresentation(n, relators),
-        max_cosets=args.max_cosets,
-        strategy=Strategy(args.strategy),
-    )
+    result = enumerate_cosets(FinitePresentation(n, relators), args.max_cosets)
     if isinstance(result, Finite):
         print(f"order={result.order} cosets={result.cosets_defined}")
     else:
@@ -151,7 +147,7 @@ class _Parser(argparse.ArgumentParser):
         # argparse's private hook that tells an option from a positional, and
         # the one place that knows about dash-led arguments.  No option of
         # this CLI holds a comma, so a comma before any "=" marks a positional
-        # such as the triple -1,-3,2, while --strategy=-1,2,3 stays an option.
+        # such as the triple -1,-3,2, while --bound=-1,2,3 stays an option.
         if arg_string.startswith("-") and "," in arg_string.partition("=")[0]:
             return None
         return super()._parse_optional(arg_string)
@@ -205,11 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coset", help="Todd-Coxeter coset enumeration of a presentation file")
     p.add_argument("file")
     p.add_argument("--max-cosets", type=_int_option, default=100_000)
-    p.add_argument(
-        "--strategy",
-        choices=[s.value for s in Strategy],
-        default=Strategy.RELATOR_FIRST.value,
-    )
     p.set_defaults(handler=_cmd_coset)
 
     p = sub.add_parser("export-kirby", help="framed-link descriptor of a triple")

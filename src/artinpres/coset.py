@@ -49,7 +49,7 @@ also scanned once against the length-1 relators.  When the stack runs dry, the t
 every deduction and coincidence the relators force, so exactly the cosets
 are defined that a rescan of every coset against every relator between
 definitions would define.  Both strategies agree on the group order
-whenever both terminate.
+whenever both terminate.  The CLI's coset command runs RELATOR_FIRST.
 """
 
 from __future__ import annotations
@@ -76,6 +76,10 @@ class FinitePresentation:
 
 
 class Strategy(Enum):
+    """RELATOR_FIRST is the default and the one strategy the CLI runs.
+    DEFINITION_FIRST stays only because benchmarks/coset_orders.py still
+    runs it; ROADMAP item 4 retires it once the benchmark's step 1 lands."""
+
     RELATOR_FIRST = "relator-first"
     DEFINITION_FIRST = "definition-first"
 

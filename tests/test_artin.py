@@ -496,6 +496,16 @@ def laplace_det(rows):
     )
 
 
+class TestDeterminantAgainstLaplace:
+    """Bareiss against cofactor expansion, over signs, zero pivots that
+    need a row swap, and singular and non-symmetric matrices."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices())
+    def test_same_determinant(self, entries):
+        assert ExponentMatrix(entries).det() == laplace_det([list(row) for row in entries])
+
+
 def determinantal_divisors(entries):
     """d_k, the gcd of the k x k minors, for k = 1 .. n."""
     n = len(entries)

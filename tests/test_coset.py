@@ -217,6 +217,13 @@ class TestPinnedDefinitions:
             (PSL27, Finite(168, 268), Finite(168, 168)),
             (coxeter_symmetric(5), Finite(120, 129), Finite(120, 120)),
             (coxeter_symmetric(6), Finite(720, 825), Finite(720, 720)),
+            # x1^2 makes x1 an involution, with one self-inverse column
+            (
+                FinitePresentation(2, ((1, 1), (1, 2) * 4 + (1, -2, -2))),
+                Finite(480, 529),
+                Finite(480, 495),
+            ),
+            (coxeter_triangle(2, 3, 5), Finite(120, 120), Finite(120, 120)),
             (Q8, Finite(8, 8), Finite(8, 8)),
             (COINCIDENT, Finite(1, 12), Finite(1, 10)),
             # a length-1 relator: no table edge ever triggers its scan
