@@ -10,18 +10,19 @@ r(a, b, c) yields a surjection of its group onto T(|a-c|, |b-c|, |c|)
 the group is certified nontrivial, and infinite when the excess is at
 most 0 (triangle_verdict).  Triviality certificates go the other way: a
 straight-line program, chosen by family, that writes x1 and x2 as
-products of conjugates of the relators, checked by free reduction.
+products of conjugates of the relators, checked on syllable words in the
+free basis {x_i, x1 x2} (check_certificate).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .coset import FinitePresentation
 from .twogen import Tuple3, _relators
-from .words import _join, _power
+from .words import _power
 
 
 class TriangleVerdict(Enum):
@@ -185,9 +186,9 @@ def triviality_certificate(t: Tuple3) -> TrivialityCertificate | None:
     gives y = r_i^c (4 steps); otherwise the T3 steps run with x1 in place
     of y (9 steps).
 
-    Every factor of exponent 0 is left out.  Every step has a few factors,
-    so check_certificate runs in O(|a| + |b| + |c|) letters; on T4 and T5
-    it builds about 2(|r1| + |r2|) letters over its two runs.
+    Every factor of exponent 0 is left out.  Every step has a few factors
+    and every value has O(1) syllables in check_certificate's basis, so a
+    check costs O(steps) whatever the size of the triple.
     """
     family = trivial_family(t)
     if family is None:
@@ -246,6 +247,61 @@ def triviality_certificate(t: Tuple3) -> TrivialityCertificate | None:
     )
 
 
+# A word in syllables: (generator, exponent) pairs, exponents nonzero and no
+# two neighbours on one generator.  Reduced syllable tuples are a normal
+# form of the free group, so group equality is tuple equality; the
+# helpers below keep it at any rank.
+_Syllables = tuple[tuple[str, int], ...]
+
+
+def _syllable_product(factors: Iterable[_Syllables]) -> _Syllables:
+    """Product of reduced syllable words: the exponents add at each
+    junction, and a syllable whose exponent reaches 0 lets the next pair
+    meet."""
+    out: list[tuple[str, int]] = []
+    for word in factors:
+        k = 0
+        while out and k < len(word) and out[-1][0] == word[k][0]:
+            g, e = out.pop()
+            e += word[k][1]
+            k += 1
+            if e:
+                out.append((g, e))
+                break
+        out.extend(word[k:])
+    return tuple(out)
+
+
+def _syllable_inverse(word: _Syllables) -> _Syllables:
+    return tuple((g, -e) for g, e in reversed(word))
+
+
+def _syllable_power(word: _Syllables, n: int) -> _Syllables:
+    """word^n of a reduced syllable word.  Matching end syllables that
+    cancel are peeled into a conjugator; a pair (g, e) ... (g, f) with
+    e + f != 0 gives word = U (g, e) V (g, f) U^-1, whose power is
+    U (g, e) (V (g, e + f))^(n - 1) V (g, f) U^-1.  The cyclically reduced
+    core left is repeated, or its exponent multiplied when it is one
+    syllable."""
+    if n < 0:
+        word, n = _syllable_inverse(word), -n
+    if n == 1:
+        return word
+    if not word or not n:
+        return ()
+    k, last = 0, len(word) - 1
+    while k < last - k and word[k][0] == word[last - k][0]:
+        (g, e), f = word[k], word[last - k][1]
+        if e + f:
+            core = word[k + 1 : last - k] + ((g, e + f),)
+            return word[: k + 1] + core * (n - 1) + word[k + 1 :]
+        k += 1
+    if k == last - k:
+        g, e = word[k]
+        return word[:k] + ((g, e * n),) + word[k + 1 :]
+    return word[:k] + word[k : last + 1 - k] * n + word[last + 1 - k :]
+
+
 def check_certificate(t: Tuple3, certificate: TrivialityCertificate) -> bool:
     """Whether the program proves r(a, b, c) trivial.
 
@@ -254,13 +310,33 @@ def check_certificate(t: Tuple3, certificate: TrivialityCertificate) -> bool:
     r_i read as 1, both must be the identity, which puts each output in
     the normal closure of r1 and r2 in the free group on x1, x2, r1, r2;
     the first run then puts x1 and x2 in the normal closure of the
-    relators.  Every product is a free reduction of reduced words.
+    relators.
+
+    Values are reduced syllable words in the free basis {u, y} of F2, with
+    y = x1 x2 and u = x1 when |a-c| >= |b-c|, else u = x2 (a Nielsen
+    change of basis: x2 = u^-1 y, or x1 = y u^-1).  The change of basis is
+    an automorphism and reduced syllable tuples are a normal form, so
+    tuple equality is group equality and the verdict is that of free
+    reduction on letters.  The relators take O(1 + min(|a-c|, |b-c|))
+    syllables, which is O(1) on every family member, so a check costs
+    O(steps) whatever the size of the triple.
     """
-    for (r1, r2), outputs in ((_relators(t), ((1,), (2,))), (((), ()), ((), ()))):
-        values = {"x1": (1,), "x2": (2,), "r1": r1, "r2": r2}
+    a, b, c = t
+    if abs(a - c) >= abs(b - c):  # u = x1
+        x1, x2 = (("u", 1),), (("u", -1), ("y", 1))
+    else:  # u = x2
+        x1, x2 = (("y", 1), ("u", -1)), (("u", 1),)
+    twist = _syllable_power((("y", 1),), c)
+    relators = tuple(
+        _syllable_product((_syllable_power(x, k - c), twist)) for x, k in ((x1, a), (x2, b))
+    )
+    for (r1, r2), outputs in ((relators, (x1, x2)), (((), ()), ((), ()))):
+        values = {"x1": x1, "x2": x2, "r1": r1, "r2": r2}
         try:
             for name, factors in certificate:
-                values[name] = _join(_power(values[symbol], e) for symbol, e in factors)
+                values[name] = _syllable_product(
+                    _syllable_power(values[symbol], e) for symbol, e in factors
+                )
         except KeyError:
             # a step names a symbol that no earlier step defines
             return False

@@ -330,6 +330,15 @@ class TestExponentMatrix:
         with pytest.raises(ValueError, match="matrix sizes differ"):
             ExponentMatrix(((1,),)) + ExponentMatrix(((1, 0), (0, 1)))
 
+    def test_negation_is_the_inverse_braid(self):
+        # rank 2 through build_r2 and tuple_neg is in test_twogen
+        from artinpres.braids import artin_inverse, braid_to_artin
+
+        rng = random.Random(17)
+        for _ in range(40):
+            fp = random_framed_pure_braid(rng, rng.randint(2, 5))
+            assert -braid_to_artin(fp).exponent_matrix() == artin_inverse(fp).exponent_matrix()
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             ExponentMatrix(((1, 2),))

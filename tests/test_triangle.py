@@ -1,9 +1,9 @@
 from fractions import Fraction
 from hashlib import sha256
-from itertools import permutations, product
+from itertools import chain, groupby, permutations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artinpres import coset, triangle, twogen, words
@@ -24,7 +24,7 @@ from artinpres.triangle import (
     triviality_status,
 )
 from artinpres.twogen import build_r2
-from artinpres.words import concat, free_reduce, invert
+from artinpres.words import concat, free_reduce, generator_power, invert
 from conftest import large_members
 from test_fourmanifolds import reference_family
 
@@ -219,7 +219,7 @@ class TestTrivialityStatus:
         monkeypatch.setattr(twogen, "_from_reduced", fail)
         monkeypatch.setattr(coset, "enumerate_cosets", fail)
         monkeypatch.setattr(coset.CosetTable, "__init__", fail)
-        for t in [*enumerate_trivial(8), (2001, 1999, 2000), (0, 2000, -1)]:
+        for t in [*enumerate_trivial(8), (2001, 1999, 2000), (0, 2000, -1), *huge_members()]:
             assert triviality_status(t).status is Triviality.TRIVIAL
 
     def test_failed_certificate_raises(self, monkeypatch):
@@ -237,6 +237,16 @@ class TestTrivialityStatus:
         monkeypatch.setattr(triangle, "triviality_certificate", lambda t: None)
         with pytest.raises(RuntimeError, match="certificate"):
             triviality_status((5, 1, 2))
+
+
+def huge_members():
+    """T4 and T5 members with entries near N = 10**4000, far past what a
+    letter word of the relators could hold."""
+    n = 10**4000
+    t4 = [(0, s * n, e) for s in (1, -1) for e in (1, -1)]
+    t4 += [(s * n, 0, e) for s in (1, -1) for e in (1, -1)]
+    t5 = [(n + 1, n - 1, n), (n - 1, n + 1, n)]
+    return t4 + t5 + [(-a, -b, -c) for a, b, c in t5]
 
 
 _SWAPPED = {"r1": "r2", "r2": "r1"}
@@ -262,6 +272,62 @@ def unimodular(bound):
         for t in product(range(-bound, bound + 1), repeat=3)
         if abs(t[0] * t[1] - t[2] * t[2]) == 1
     ]
+
+
+def reference_check(t, certificate):
+    """check_certificate on letter words: the relators as words in x1, x2,
+    and every product a free reduction."""
+    for (r1, r2), outputs in ((twogen._relators(t), ((1,), (2,))), (((), ()), ((), ()))):
+        values = {"x1": (1,), "x2": (2,), "r1": r1, "r2": r2}
+        try:
+            for name, factors in certificate:
+                values[name] = words._join(words._power(values[symbol], e) for symbol, e in factors)
+        except KeyError:
+            return False
+        if (values.get("X1"), values.get("X2")) != outputs:
+            return False
+    return True
+
+
+# Syllable words over three generators, read as the letters 1, 2 and 3:
+# the syllable kernel is not tied to rank 2.
+_LETTER = {"a": 1, "b": 2, "c": 3}
+_NAME = {letter: name for name, letter in _LETTER.items()}
+
+
+def letters(word):
+    return tuple(chain.from_iterable(generator_power(_LETTER[g], e) for g, e in word))
+
+
+def expanded(word):
+    """The letters of a syllable word, which must be in normal form:
+    nonzero exponents and no two neighbours on one generator."""
+    assert all(e for _, e in word), word
+    assert all(g != h for (g, _), (h, _) in zip(word, word[1:])), word
+    return letters(word)
+
+
+def syllables_of(word):
+    """The syllables of a reduced letter word: its runs of one letter."""
+    runs = ((letter, len(list(run))) for letter, run in groupby(word))
+    return tuple((_NAME[abs(letter)], n if letter > 0 else -n) for letter, n in runs)
+
+
+syllable_words = st.lists(
+    st.tuples(st.sampled_from("abc"), st.integers(-3, 3).filter(bool)), max_size=8
+).map(lambda word: syllables_of(free_reduce(letters(word))))
+
+_NAMES = ["A", "B", "X1", "X2"]
+programs = st.lists(
+    st.tuples(
+        st.sampled_from(_NAMES),
+        st.lists(
+            st.tuples(st.sampled_from(["x1", "x2", "r1", "r2", *_NAMES]), st.integers(-2, 2)),
+            max_size=4,
+        ).map(tuple),
+    ),
+    max_size=5,
+).map(tuple)
 
 
 class TestTrivialityCertificate:
@@ -333,6 +399,56 @@ class TestTrivialityCertificate:
         word = free_reduce(letters)
         factor = word if exponent >= 0 else invert(word)
         assert words._power(word, exponent) == concat(*[factor] * abs(exponent))
+
+    @given(st.lists(syllable_words, max_size=4))
+    def test_syllable_product_matches_join(self, factors):
+        result = triangle._syllable_product(factors)
+        assert expanded(result) == words._join(map(expanded, factors))
+
+    @given(syllable_words)
+    def test_syllable_inverse_matches_invert(self, word):
+        assert expanded(triangle._syllable_inverse(word)) == invert(expanded(word))
+
+    @given(syllable_words, syllable_words, st.integers(-5, 5))
+    def test_syllable_power_matches_power(self, conjugator, core, exponent):
+        # u v u^-1 reaches the full and the partial peel of the conjugator
+        u = expanded(conjugator)
+        word = syllables_of(concat(u, expanded(core), invert(u)))
+        power = triangle._syllable_power(word, exponent)
+        assert expanded(power) == words._power(expanded(word), exponent)
+
+    def test_agrees_with_reference_on_single_mutations(self):
+        for t in unimodular(50):
+            certificate = triviality_certificate(t)
+            if certificate is None:
+                continue
+            for program in (certificate, *single_mutations(certificate)):
+                assert check_certificate(t, program) == reference_check(t, program), (t, program)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.sampled_from(list(enumerate_trivial(20))),
+            st.tuples(*[st.integers(-30, 30)] * 3),
+        ),
+        programs,
+        st.sampled_from(["alone", "before", "after"]),
+    )
+    def test_agrees_with_reference_on_drawn_programs(self, t, program, place):
+        certificate = triviality_certificate(t)
+        if certificate is not None and place == "before":
+            # a certificate defines every name before it reads it, so steps
+            # ahead of it leave it valid when they read only defined names
+            defined = {"x1", "x2", "r1", "r2"}
+            reads_defined = True
+            for name, factors in program:
+                reads_defined &= all(symbol in defined for symbol, _ in factors)
+                defined.add(name)
+            program = program + certificate
+            assert check_certificate(t, program) is reads_defined
+        elif certificate is not None and place == "after":
+            program = certificate + program
+        assert check_certificate(t, program) == reference_check(t, program)
 
     def test_wrong_triple_fails(self):
         assert not check_certificate((5, 2, 3), triviality_certificate((5, 1, 2)))
