@@ -240,6 +240,16 @@ def _smith_diagonal(entries: tuple[tuple[int, ...], ...]) -> list[int]:
     # the first column, so that repeats with a smaller pivot.  Once the
     # pivot divides its whole row, clearing that row changes nothing else,
     # so the pivot splits off from the block after it.
+    #
+    # With D = |det| != 0, A adj(A) = det(A) I puts D Z^n in the column
+    # lattice, and unimodular steps keep it there, so the cokernel is that
+    # of the matrix beside the columns of D I, which adding multiples of D
+    # to entries leaves alone.  So each time a pivot splits off, the block
+    # left is reduced modulo D, and at the end each diagonal entry d stands
+    # for Z/gcd(d, D) (Cohen, A Course in Computational Algebraic Number
+    # Theory (1993), 2.4).  A singular matrix has no such modulus, and its
+    # entries may still grow.
+    modulus = abs(ExponentMatrix(entries).det())
     block = [list(row) for row in entries]
     size = len(block)
     diagonal: list[int] = []
@@ -279,7 +289,11 @@ def _smith_diagonal(entries: tuple[tuple[int, ...], ...]) -> list[int]:
                 row[0], row[j] = x * row[0] + y * row[j], u * row[j] - v * row[0]
         diagonal.append(abs(pivot))
         block = [row[1:] for row in block[1:]]
+        if modulus:
+            block = [[x % modulus for x in row] for row in block]
     diagonal += [0] * (size - len(diagonal))
+    if modulus:
+        diagonal = [gcd(d, modulus) for d in diagonal]
     # diag(d, e) and diag(gcd, lcm) are equivalent; after the sweep each
     # entry divides every later one, and the zeros come last
     for i in range(size):

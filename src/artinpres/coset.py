@@ -148,9 +148,12 @@ class CosetTable:
     place of making one past it, and leaves the table as it was.
 
     When deductions is a list, every entry the table gains is pushed on it
-    as its position c * ncols + column, together with its inverse entry,
-    and a merge pushes every defined entry of each surviving row in the
-    same way; the Felsch loop in _definition_first drains it.
+    as its position c * ncols + column, together with its inverse entry:
+    _scan pushes each deduction, and a merge every defined entry of each
+    surviving row.  _define pushes nothing.  While a deduction stack exists
+    _scan stops at a gap it would bridge, so the Felsch loop in
+    _definition_first makes every definition, pushes the entry it made,
+    and drains the stack.
     """
 
     def __init__(self, ngens: int, max_cosets: int, involutions: Collection[int] = ()) -> None:
@@ -221,9 +224,6 @@ class CosetTable:
         self.live = live = self.live + 1
         if live > self.peak_live:
             self.peak_live = live
-        if self.deductions is not None:
-            n = self.ncols
-            self.deductions += (coset * n + column, new * n + back)
         return new
 
     def _merge(self, a: int, b: int) -> None:
@@ -513,4 +513,6 @@ def _definition_first(table: CosetTable, relators: tuple[Word, ...]) -> None:
             hole += 1
             if hole == table.defined:
                 return
-        new = table._define(hole, row.index(-1))
+        column = row.index(-1)
+        new = table._define(hole, column)
+        stack += (hole * n + column, new * n + table.inverse[column])

@@ -253,11 +253,15 @@ def triviality_certificate(t: Tuple3) -> TrivialityCertificate | None:
 # helpers below keep it at any rank.
 _Syllables = tuple[tuple[str, int], ...]
 
+# The most syllables a product may reach, or a power copy out, before it is
+# refused with ValueError: a bound on what check_certificate builds.
+_MAX_SYLLABLES = 10**6
+
 
 def _syllable_product(factors: Iterable[_Syllables]) -> _Syllables:
     """Product of reduced syllable words: the exponents add at each
     junction, and a syllable whose exponent reaches 0 lets the next pair
-    meet."""
+    meet.  Raises ValueError once the product passes _MAX_SYLLABLES."""
     out: list[tuple[str, int]] = []
     for word in factors:
         k = 0
@@ -269,6 +273,8 @@ def _syllable_product(factors: Iterable[_Syllables]) -> _Syllables:
                 out.append((g, e))
                 break
         out.extend(word[k:])
+        if len(out) > _MAX_SYLLABLES:
+            raise ValueError(f"a product of more than {_MAX_SYLLABLES} syllables")
     return tuple(out)
 
 
@@ -277,12 +283,13 @@ def _syllable_inverse(word: _Syllables) -> _Syllables:
 
 
 def _syllable_power(word: _Syllables, n: int) -> _Syllables:
-    """word^n of a reduced syllable word.  Matching end syllables that
-    cancel are peeled into a conjugator; a pair (g, e) ... (g, f) with
-    e + f != 0 gives word = U (g, e) V (g, f) U^-1, whose power is
-    U (g, e) (V (g, e + f))^(n - 1) V (g, f) U^-1.  The cyclically reduced
-    core left is repeated, or its exponent multiplied when it is one
-    syllable."""
+    """word^n of a reduced syllable word.  End syllables that cancel
+    exactly, (g, e) ... (g, -e), peel into a conjugator: word = U V U^-1.
+    One syllable V = (g, e) gives U (g, e n) U^-1 at any n; otherwise the
+    power is the product of |n| copies of word or its inverse, whose
+    junction merge cancels each U^-1 U and joins V's ends on one generator.
+    Only that case grows with n: it raises ValueError before making the
+    copies when len(word) |n| passes _MAX_SYLLABLES."""
     if n < 0:
         word, n = _syllable_inverse(word), -n
     if n == 1:
@@ -290,16 +297,14 @@ def _syllable_power(word: _Syllables, n: int) -> _Syllables:
     if not word or not n:
         return ()
     k, last = 0, len(word) - 1
-    while k < last - k and word[k][0] == word[last - k][0]:
-        (g, e), f = word[k], word[last - k][1]
-        if e + f:
-            core = word[k + 1 : last - k] + ((g, e + f),)
-            return word[: k + 1] + core * (n - 1) + word[k + 1 :]
+    while k < last - k and word[k] == (word[last - k][0], -word[last - k][1]):
         k += 1
     if k == last - k:
         g, e = word[k]
         return word[:k] + ((g, e * n),) + word[k + 1 :]
-    return word[:k] + word[k : last + 1 - k] * n + word[last + 1 - k :]
+    if len(word) * n > _MAX_SYLLABLES:
+        raise ValueError(f"a power of more than {_MAX_SYLLABLES} syllables")
+    return _syllable_product((word,) * n)
 
 
 def check_certificate(t: Tuple3, certificate: TrivialityCertificate) -> bool:
@@ -318,30 +323,40 @@ def check_certificate(t: Tuple3, certificate: TrivialityCertificate) -> bool:
     an automorphism and reduced syllable tuples are a normal form, so
     tuple equality is group equality and the verdict is that of free
     reduction on letters.  The relators take O(1 + min(|a-c|, |b-c|))
-    syllables, which is O(1) on every family member, so a check costs
-    O(steps) whatever the size of the triple.
+    syllables, which is O(1) on every family member.  A power costs
+    O(len(value)) when the value is a conjugate of one syllable, whatever
+    the exponent, and O(len(value) |exponent|) otherwise, so a check of
+    the library's certificates costs O(steps) whatever the size of the
+    triple.  No value, and no power on its way to one, may pass
+    _MAX_SYLLABLES = 10^6 syllables: a program or triple that would build
+    one raises ValueError naming the step, or the relators, instead of
+    exhausting memory.
     """
     a, b, c = t
     if abs(a - c) >= abs(b - c):  # u = x1
         x1, x2 = (("u", 1),), (("u", -1), ("y", 1))
     else:  # u = x2
         x1, x2 = (("y", 1), ("u", -1)), (("u", 1),)
-    twist = _syllable_power((("y", 1),), c)
-    relators = tuple(
-        _syllable_product((_syllable_power(x, k - c), twist)) for x, k in ((x1, a), (x2, b))
-    )
-    for (r1, r2), outputs in ((relators, (x1, x2)), (((), ()), ((), ()))):
-        values = {"x1": x1, "x2": x2, "r1": r1, "r2": r2}
-        try:
+    name = None  # no step has run while the relators are built
+    try:
+        twist = _syllable_power((("y", 1),), c)
+        relators = tuple(
+            _syllable_product((_syllable_power(x, k - c), twist)) for x, k in ((x1, a), (x2, b))
+        )
+        for (r1, r2), outputs in ((relators, (x1, x2)), (((), ()), ((), ()))):
+            values = {"x1": x1, "x2": x2, "r1": r1, "r2": r2}
             for name, factors in certificate:
                 values[name] = _syllable_product(
                     _syllable_power(values[symbol], e) for symbol, e in factors
                 )
-        except KeyError:
-            # a step names a symbol that no earlier step defines
-            return False
-        if (values.get("X1"), values.get("X2")) != outputs:
-            return False
+            if (values.get("X1"), values.get("X2")) != outputs:
+                return False
+    except KeyError:
+        # a step names a symbol that no earlier step defines
+        return False
+    except ValueError as error:
+        where = "the relators" if name is None else f"step {name!r}"
+        raise ValueError(f"{where}: {error}") from None
     return True
 
 

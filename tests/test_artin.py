@@ -550,6 +550,18 @@ class TestSmithAgainstDeterminantalDivisors:
         for first, second in zip(diagonal, diagonal[1:]):
             assert second % first == 0 if first else second == 0
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_large_random_matrices(self, seed):
+        # the block left to reduce is kept modulo |det|; unreduced, its
+        # entries grow until one such matrix takes seconds
+        rng = random.Random(4000 + seed)
+        entries = tuple(tuple(rng.randint(-9, 9) for _ in range(40)) for _ in range(40))
+        diagonal = _smith_diagonal(entries)
+        assert prod(diagonal) == abs(ExponentMatrix(entries).det()) != 0
+        assert diagonal[0] == gcd(*chain.from_iterable(entries))
+        for first, second in zip(diagonal, diagonal[1:]):
+            assert second % first == 0
+
 
 class TestPresentationText:
     def test_round_trip(self):

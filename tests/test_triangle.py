@@ -464,6 +464,30 @@ class TestTrivialityCertificate:
     def test_undefined_symbol_fails(self, program):
         assert not check_certificate((5, 1, 2), program)
 
+    def test_power_past_the_bound_raises(self):
+        # r2 = x2^(n-1) (x1 x2) is two syllables in the basis {x2, x1 x2},
+        # so its n-th power is the product case, refused before any copy
+        n = 10**4000
+        with pytest.raises(ValueError, match="step 'A'"):
+            check_certificate((0, n, 1), (("A", (("r2", n),)),))
+
+    def test_doubling_past_the_bound_raises(self):
+        # B0 = x1 x2 x1^-1 x2^-1 is four syllables in the basis {x1, x1 x2},
+        # and B_k = B_(k-1) x1 B_(k-1) twice as many as B_(k-1): each step
+        # has power 1 only, and B18 passes 10^6 syllables
+        program = [("B0", (("x1", 1), ("x2", 1), ("x1", -1), ("x2", -1)))]
+        for k in range(1, 20):
+            program.append((f"B{k}", ((f"B{k - 1}", 1), ("x1", 1), (f"B{k - 1}", 1))))
+        with pytest.raises(ValueError, match="step 'B18'"):
+            check_certificate((1, 1, 0), tuple(program))
+        assert check_certificate((1, 1, 0), tuple(program[:18])) is False
+
+    def test_relators_past_the_bound_raise(self):
+        # x2 = x1^-1 (x1 x2) is two syllables, and r2 = x2^(b-c) with
+        # |b - c| = 10^6 would be twice the bound
+        with pytest.raises(ValueError, match="the relators"):
+            check_certificate((10**6, -(10**6), 0), ())
+
 
 class TestClosedFormAgainstEnumeration:
     """The coset enumerator is the independent oracle for the closed form."""
