@@ -53,28 +53,11 @@ class ExponentMatrix:
         return len(self.entries)
 
     def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination; det of the
-        empty matrix is 1.  Exact over arbitrary-size integers."""
-        size = self.n
-        if size == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(size - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, size):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, size):
-                for j in range(k + 1, size):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[size - 1][size - 1]
+        """Determinant, read off _bareiss: the maximal minor it finds at
+        full rank, else 0; det of the empty matrix is 1.  Exact over
+        arbitrary-size integers."""
+        rank, minor = _bareiss(self.entries)
+        return minor if rank == self.n else 0
 
     def is_symmetric(self) -> bool:
         return all(
@@ -230,6 +213,32 @@ def abelianization_invariants(matrix: ExponentMatrix) -> tuple[int, ...]:
     return tuple(_smith_diagonal(matrix.entries))
 
 
+def _bareiss(entries: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(rank, minor) of a square integer matrix by fraction-free (Bareiss)
+    elimination.  A zero pivot is swapped with a nonzero entry lower in its
+    column, or else the column is passed over.  minor is the last pivot, a
+    nonzero rank x rank minor: the determinant at full rank, 1 at rank 0."""
+    m = [list(row) for row in entries]
+    size = len(m)
+    rank, sign, prev = 0, 1, 1
+    for j in range(size):
+        if not m[rank][j]:
+            i = next((i for i in range(rank + 1, size) if m[i][j]), 0)
+            if not i:
+                continue
+            m[rank], m[i] = m[i], m[rank]
+            sign = -sign
+        top = m[rank]
+        pivot = top[j]
+        for row in m[rank + 1 :]:
+            a = row[j]
+            for k in range(j + 1, size):
+                row[k] = (row[k] * pivot - a * top[k]) // prev
+        prev = pivot
+        rank += 1
+    return rank, sign * prev
+
+
 def _smith_diagonal(entries: tuple[tuple[int, ...], ...]) -> list[int]:
     # Diagonalize over Z, then sort the diagonal into a divisor chain.  The
     # least nonzero entry of the block moves to the top left as the pivot.
@@ -241,15 +250,17 @@ def _smith_diagonal(entries: tuple[tuple[int, ...], ...]) -> list[int]:
     # pivot divides its whole row, clearing that row changes nothing else,
     # so the pivot splits off from the block after it.
     #
-    # With D = |det| != 0, A adj(A) = det(A) I puts D Z^n in the column
-    # lattice, and unimodular steps keep it there, so the cokernel is that
-    # of the matrix beside the columns of D I, which adding multiples of D
-    # to entries leaves alone.  So each time a pivot splits off, the block
-    # left is reduced modulo D, and at the end each diagonal entry d stands
-    # for Z/gcd(d, D) (Cohen, A Course in Computational Algebraic Number
-    # Theory (1993), 2.4).  A singular matrix has no such modulus, and its
-    # entries may still grow.
-    modulus = abs(ExponentMatrix(entries).det())
+    # M = |minor| for the nonzero r x r minor of _bareiss, r the rank.
+    # Adding multiples of M to entries gives the cokernel of [E | M I],
+    # which is (Z/M)^(n-r) + T, T the torsion of coker E: the exponent of T
+    # divides |T| = d_r, the gcd of the r x r minors, so it divides M, and
+    # T/MT = T.  So each time a pivot splits off, the block left is reduced
+    # modulo M, each diagonal entry d stands for Z/gcd(d, M), and after the
+    # sweep below the last n - r entries, M each, become the 0s of E's
+    # Smith form (Cohen, A Course in Computational Algebraic Number Theory
+    # (1993), 2.4, where r = n and M = |det|).
+    rank, minor = _bareiss(entries)
+    modulus = abs(minor)
     block = [list(row) for row in entries]
     size = len(block)
     diagonal: list[int] = []
@@ -288,19 +299,17 @@ def _smith_diagonal(entries: tuple[tuple[int, ...], ...]) -> list[int]:
             for row in block:
                 row[0], row[j] = x * row[0] + y * row[j], u * row[j] - v * row[0]
         diagonal.append(abs(pivot))
-        block = [row[1:] for row in block[1:]]
-        if modulus:
-            block = [[x % modulus for x in row] for row in block]
+        block = [[x % modulus for x in row[1:]] for row in block[1:]]
     diagonal += [0] * (size - len(diagonal))
-    if modulus:
-        diagonal = [gcd(d, modulus) for d in diagonal]
+    diagonal = [gcd(d, modulus) for d in diagonal]
     # diag(d, e) and diag(gcd, lcm) are equivalent; after the sweep each
-    # entry divides every later one, and the zeros come last
+    # entry divides every later one
     for i in range(size):
         for j in range(i + 1, size):
             g = gcd(diagonal[i], diagonal[j])
             if g != diagonal[i]:
                 diagonal[i], diagonal[j] = g, diagonal[i] // g * diagonal[j]
+    diagonal[rank:] = [0] * (size - rank)
     return diagonal
 
 

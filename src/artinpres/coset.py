@@ -78,7 +78,8 @@ class FinitePresentation:
 class Strategy(Enum):
     """RELATOR_FIRST is the default and the one strategy the CLI runs.
     DEFINITION_FIRST stays only because benchmarks/coset_orders.py still
-    runs it; ROADMAP item 4 retires it once the benchmark's step 1 lands."""
+    runs it; ROADMAP item 4 retires it after item 16's benchmark-only
+    change drops those cases."""
 
     RELATOR_FIRST = "relator-first"
     DEFINITION_FIRST = "definition-first"

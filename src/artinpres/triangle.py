@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 from .coset import FinitePresentation
 from .twogen import Tuple3, _relators
@@ -257,6 +258,10 @@ _Syllables = tuple[tuple[str, int], ...]
 # refused with ValueError: a bound on what check_certificate builds.
 _MAX_SYLLABLES = 10**6
 
+# The most bits an exponent of a step's value may have beyond the largest
+# entry of the triple or exponent of the program: the other such bound.
+_MAX_EXTRA_BITS = 64
+
 
 def _syllable_product(factors: Iterable[_Syllables]) -> _Syllables:
     """Product of reduced syllable words: the exponents add at each
@@ -327,16 +332,23 @@ def check_certificate(t: Tuple3, certificate: TrivialityCertificate) -> bool:
     O(len(value)) when the value is a conjugate of one syllable, whatever
     the exponent, and O(len(value) |exponent|) otherwise, so a check of
     the library's certificates costs O(steps) whatever the size of the
-    triple.  No value, and no power on its way to one, may pass
-    _MAX_SYLLABLES = 10^6 syllables: a program or triple that would build
-    one raises ValueError naming the step, or the relators, instead of
-    exhausting memory.
+    triple.  Two bounds keep a check's cost finite on any input.  No value,
+    and no power on its way to one, may pass _MAX_SYLLABLES = 10^6
+    syllables.  No exponent of a step's value may have more than B +
+    _MAX_EXTRA_BITS bits, B the largest bit length among the triple's
+    entries and the program's exponents, so repeated powers cannot
+    multiply an exponent's digits.  A program or triple that would pass
+    either raises ValueError naming the step, or the relators, instead of
+    exhausting time or memory.
     """
     a, b, c = t
     if abs(a - c) >= abs(b - c):  # u = x1
         x1, x2 = (("u", 1),), (("u", -1), ("y", 1))
     else:  # u = x2
         x1, x2 = (("y", 1), ("u", -1)), (("u", 1),)
+    # B + _MAX_EXTRA_BITS, read only once an exponent passes _MAX_EXTRA_BITS
+    exponents = chain(t, (e for _, factors in certificate for _, e in factors))
+    bits = 0
     name = None  # no step has run while the relators are built
     try:
         twist = _syllable_power((("y", 1),), c)
@@ -346,9 +358,14 @@ def check_certificate(t: Tuple3, certificate: TrivialityCertificate) -> bool:
         for (r1, r2), outputs in ((relators, (x1, x2)), (((), ()), ((), ()))):
             values = {"x1": x1, "x2": x2, "r1": r1, "r2": r2}
             for name, factors in certificate:
-                values[name] = _syllable_product(
+                value = values[name] = _syllable_product(
                     _syllable_power(values[symbol], e) for symbol, e in factors
                 )
+                for _, e in value:
+                    if e.bit_length() > _MAX_EXTRA_BITS:
+                        bits = bits or max(map(abs, exponents)).bit_length() + _MAX_EXTRA_BITS
+                        if e.bit_length() > bits:
+                            raise ValueError(f"an exponent of more than {bits} bits")
             if (values.get("X1"), values.get("X2")) != outputs:
                 return False
     except KeyError:

@@ -388,6 +388,14 @@ class TestDeterminantAndUnimodularity:
         assert ExponentMatrix(((0, 1), (1, 0))).det() == -1
         assert ExponentMatrix(((0, 2, 1), (1, 0, 3), (2, 1, 0))).det() == 13
 
+    @pytest.mark.parametrize(
+        "entries", [((0, 1), (0, 0)), ((0, 0, 1), (0, 0, 2), (1, 1, 0))]
+    )
+    def test_bareiss_moves_to_a_later_column(self, entries):
+        # a column with no nonzero entry left is passed over, so the
+        # elimination runs on and finds the rank short of n
+        assert ExponentMatrix(entries).det() == 0
+
 
 class TestAbelianizationInvariants:
     def test_identity_matrix(self):
@@ -672,3 +680,33 @@ class TestPresentationText:
         with pytest.raises(ParseError) as caught:
             parse_presentation(text)
         assert str(caught.value) == message
+
+
+def known_smith_form(seed, size, divisors):
+    """U D V for D = diag(divisors) padded with zeros to size x size, and U, V
+    products of 400 random elementary row and column operations."""
+    rng = random.Random(seed)
+    m = [[0] * size for _ in range(size)]
+    for i, d in enumerate(divisors):
+        m[i][i] = d
+    for _ in range(400):
+        i, j = rng.sample(range(size), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        if rng.random() < 0.5:
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        else:
+            for row in m:
+                row[i] += c * row[j]
+    return tuple(map(tuple, m))
+
+
+class TestSmithOnSingularMatrices:
+    """The modulus of a singular matrix is a nonzero maximal minor, so its
+    entries stay bounded: without it one such 40 x 40 matrix took minutes."""
+
+    @pytest.mark.parametrize("rank", [39, 35, 0])
+    def test_known_divisor_chain(self, rank):
+        divisors = [1] * (rank - 4) + [2, 4, 12, 120] if rank else []
+        entries = known_smith_form(rank, 40, divisors)
+        assert _smith_diagonal(entries) == divisors + [0] * (40 - rank)
+        assert ExponentMatrix(entries).det() == 0

@@ -482,6 +482,15 @@ class TestTrivialityCertificate:
             check_certificate((1, 1, 0), tuple(program))
         assert check_certificate((1, 1, 0), tuple(program[:18])) is False
 
+    def test_exponent_past_the_bound_raises(self):
+        # A_k = A_(k-1)^n multiplies the exponent's digits at every step;
+        # A2 = x1^(n^2) already has twice the bits of n
+        n = 10**4000
+        program = [("A1", (("x1", n),))]
+        program += [(f"A{k}", ((f"A{k - 1}", n),)) for k in range(2, 51)]
+        with pytest.raises(ValueError, match="step 'A2'"):
+            check_certificate((1, 1, 0), tuple(program))
+
     def test_relators_past_the_bound_raise(self):
         # x2 = x1^-1 (x1 x2) is two syllables, and r2 = x2^(b-c) with
         # |b - c| = 10^6 would be twice the bound
