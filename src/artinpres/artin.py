@@ -23,6 +23,7 @@ from typing import Sequence
 
 from .words import (
     MAX_EXPONENT,
+    MAX_LETTERS,
     ParseError,
     Word,
     _bounded,
@@ -343,6 +344,9 @@ def parse_presentation(text: str) -> tuple[int, tuple[Word, ...]]:
     so the result can feed artin_defect directly.  Numbers are read as
     words.parse_runs reads them: n beyond MAX_EXPONENT is a ParseError, and
     a label is matched digit for digit, so no string reaches int() whole.
+    A relator of more than MAX_LETTERS letters raises parse_word's
+    ParseError, and so do reduced relators of more than MAX_LETTERS letters
+    in all.
     """
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
@@ -354,6 +358,7 @@ def parse_presentation(text: str) -> tuple[int, tuple[Word, ...]]:
     if n is None:
         raise ParseError(f"generator count beyond {MAX_EXPONENT} in 'artin <n>' header")
     relators = []
+    letters = 0
     for i, line in enumerate(lines[1:], start=1):
         match = _RELATOR_LINE.fullmatch(line)
         if match is None or match.group(1) != str(i):
@@ -361,12 +366,16 @@ def parse_presentation(text: str) -> tuple[int, tuple[Word, ...]]:
         word, largest = _read_word(match.group(2))
         if largest > n and max_generator(word) > n:
             raise ParseError(f"relator r{i} uses a generator beyond x{n}")
+        letters += len(word)
+        if letters > MAX_LETTERS:
+            raise ParseError(f"relators of more than {MAX_LETTERS} letters in all")
         relators.append(word)
     return n, tuple(relators)
 
 
 def format_presentation(n: int, relators: Sequence[Word]) -> str:
-    """Canonical text form; parse_presentation round-trips it."""
+    """Canonical text form; parse_presentation round-trips it when the
+    relators hold at most MAX_LETTERS letters in all."""
     lines = [f"artin {n}"]
     lines.extend(f"r{i} = {format_word(r)}" for i, r in enumerate(relators, start=1))
     return "\n".join(lines)

@@ -1,7 +1,7 @@
 """The paper's second theorem: the closed 4-manifold attached to each
-trivial two-generator presentation, found by tuple moves and checked
-against intersection-form invariants.  Which triples are trivial, and their
-families T1-T5, is the first theorem, in triangle.
+trivial two-generator presentation, named by its intersection form and
+proved by tuple moves.  Which triples are trivial, and their families
+T1-T5, is the first theorem, in triangle.
 
 Each r(a, b, c) is the boundary data of a 4-dimensional 2-handlebody whose
 Kirby diagram is the closure of s1^(2c) with framings a and b, and whose
@@ -13,10 +13,11 @@ intersection form is [[a, c], [c, b]].  Two handle slides act on triples as
 preserving the manifold, hence the determinant and signature.  Swapping the
 components, flipping the sign of c when |c| = 1, and mirroring (negating
 everything, which reverses orientation) are diffeomorphisms as well.  For
-triples presenting the trivial group, chaining these moves down to a
-handful of base diagrams identifies the closed manifold, which is one of
-CP2 # CP2, CP2 # mCP2, mCP2 # mCP2, or S2 x S2 (mCP2 denoting the
-orientation-reversed complex projective plane).
+a trivial-group triple the form is unimodular, so its signature and parity
+name the closed manifold: CP2 # CP2, CP2 # mCP2, mCP2 # mCP2, or S2 x S2
+(mCP2 is CP2 with orientation reversed).  Moves down to a base diagram
+prove it; the form at their end, signature negated after an odd number of
+mirrors, must be the form of the triple.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ class MoveStep:
 
 @dataclass(frozen=True)
 class MovePath:
-    """A chain of diffeomorphism moves from a triple down to a base diagram,
-    with a flag recording whether an odd number of mirrors was used."""
+    """A chain of diffeomorphism moves from a triple down to a base diagram;
+    orientation_reversed says whether it mirrors an odd number of times."""
 
     start: Tuple3
     steps: tuple[MoveStep, ...]
@@ -125,23 +126,9 @@ class MovePath:
         return sum(1 for step in self.steps if step.move == "mirror") % 2 == 1
 
 
-def _base_class(t: Tuple3) -> FourManifold | None:
-    """Manifold of a base diagram, or None if t is not one."""
-    if t == (1, 1, 0):
-        return FourManifold.CP2_CP2
-    if t == (1, -1, 0):
-        return FourManifold.CP2_MCP2
-    if t[1] == 0 and t[2] == 1:
-        return FourManifold.S2XS2 if t[0] % 2 == 0 else FourManifold.CP2_MCP2
-    return None
-
-
-_REVERSED = {
-    FourManifold.CP2_CP2: FourManifold.MCP2_MCP2,
-    FourManifold.MCP2_MCP2: FourManifold.CP2_CP2,
-    FourManifold.CP2_MCP2: FourManifold.CP2_MCP2,
-    FourManifold.S2XS2: FourManifold.S2XS2,
-}
+def _is_base(t: Tuple3) -> bool:
+    """Whether t is a base diagram: (1, 1, 0), (1, -1, 0) or (a, 0, 1)."""
+    return t in ((1, 1, 0), (1, -1, 0)) or (t[1] == 0 and t[2] == 1)
 
 
 def reduce_to_base(t: Tuple3) -> MovePath:
@@ -162,9 +149,9 @@ def reduce_to_base(t: Tuple3) -> MovePath:
     def size(u: Tuple3) -> int:
         return abs(u[0]) + abs(u[1]) + abs(u[2])
 
-    while _base_class(current) is None:
+    while not _is_base(current):
         s = size(current)
-        if _base_class(swapped := swap(current)) is not None:
+        if _is_base(swapped := swap(current)):
             move, current = "swap", swapped
         elif size(first := slide1(current)) < s:
             move, current = "slide1", first
@@ -193,25 +180,23 @@ def _invariant_class(inv: FormInvariants) -> FourManifold:
 def classify_x4_with_path(t: Tuple3) -> tuple[FourManifold, MovePath]:
     """Closed 4-manifold of a trivial-group triple, plus the move path.
 
-    The move-based answer is cross-checked against the invariant rule
-    (signature and parity of the intersection form); a disagreement would
-    be an internal bug and raises RuntimeError.  A triple that is not
+    The signature/parity rule names the manifold from the form of t.  The
+    path must end at a base diagram whose form, with the signature negated
+    when the path reverses orientation, is the form of t; anything else
+    would be an internal bug and raises RuntimeError.  A triple that is not
     trivial raises ValueError("a,b,c is outside the trivial-group
     families"), the text the classify command prints.
     """
     if not _is_trivial(t):
         raise ValueError(f"{format_tuple3(t)} is outside the trivial-group families")
     path = reduce_to_base(t)
-    by_moves = _base_class(path.final)
-    if path.orientation_reversed:
-        by_moves = _REVERSED[by_moves]
-    by_invariants = _invariant_class(form_invariants(t))
-    if by_moves != by_invariants:
-        raise RuntimeError(
-            f"move path gives {by_moves.value} but invariants give "
-            f"{by_invariants.value} for {t}"
-        )
-    return by_moves, path
+    final = path.final
+    inv = form_invariants(t)
+    # mirroring keeps det and parity and negates the signature
+    end = form_invariants(mirror(final) if path.orientation_reversed else final)
+    if not _is_base(final) or end != inv:
+        raise RuntimeError(f"move path ends at {final} with {end}, but {t} has {inv}")
+    return _invariant_class(inv), path
 
 
 def classify_x4(t: Tuple3) -> FourManifold:

@@ -21,6 +21,9 @@ Word = tuple[int, ...]
 # that a short text cannot ask for an arbitrarily long word.
 MAX_EXPONENT = 10**6
 _MAX_DIGITS = len(str(MAX_EXPONENT))
+# Most letters parse_runs builds for one word, and parse_presentation keeps
+# over all its relators, so that many tokens cannot exhaust memory either.
+MAX_LETTERS = 10**7
 
 
 class ParseError(ValueError):
@@ -163,7 +166,8 @@ def format_runs(letters: Sequence[int], symbol: str) -> str:
     """Space-separated ``<symbol><k>`` / ``<symbol><k>^<e>`` tokens, one per
     run of equal letters; unambiguous on reduced words.  A run longer than
     MAX_EXPONENT goes out as several tokens of at most MAX_EXPONENT letters,
-    so parse_runs reads every formatted word back.
+    so parse_runs reads back every formatted word of at most MAX_LETTERS
+    letters.
 
     Cost: the per-letter work runs in C, plus one Python step per run longer
     than one letter and per distinct letter, named when first met.  Flags
@@ -204,11 +208,18 @@ def parse_runs(
     or exponent exceeds MAX_EXPONENT in absolute value is an error too.
     Leading zeros are dropped and the remaining digits counted before int()
     sees them, so no token is too long for int() to convert.
+
+    A word of more than MAX_LETTERS letters is a ParseError naming the cap,
+    raised before its letters are built.  While the tokens times the
+    longest distinct token so far stay within the cap, no total is taken;
+    the first distinct token past that bound sums the exponents of all the
+    tokens.
     """
     pattern = re.compile(rf"{symbol}0*(\d+)(?:\^(-?)0*(\d+))?", re.ASCII)
     beyond = f"beyond {MAX_EXPONENT} in {kind} token {{token!r}} at position {{position}}"
+    within_cap = False  # whether all the tokens together are known to be within MAX_LETTERS
 
-    def letters(token: str) -> Word:
+    def run(token: str) -> tuple[int, int]:
         match = pattern.fullmatch(token)
         if not match:
             message = f"bad {kind} token {{token!r}} at position {{position}}"
@@ -219,9 +230,20 @@ def parse_runs(
         elif (exponent := _bounded(match.group(3) or "1")) is None:
             message = "exponent " + beyond
         else:
-            return generator_power(index, -exponent if match.group(2) else exponent)
+            return index, -exponent if match.group(2) else exponent
         raise ParseError(message.format(token=token, position=tokens.index(token) + 1))
 
+    def letters(token: str) -> Word:
+        nonlocal within_cap
+        index, exponent = runs[token]
+        if not within_cap and len(tokens) * abs(exponent) > MAX_LETTERS:
+            if sum(abs(runs[t][1]) for t in tokens) > MAX_LETTERS:
+                raise ParseError(f"{kind} of more than {MAX_LETTERS} letters")
+            within_cap = True
+        return generator_power(index, exponent)
+
+    runs = _Memo(run)
+    runs[identity] = (1, 0)
     memo = _Memo(letters)
     memo[identity] = ()
     return tuple(chain.from_iterable(map(memo.__getitem__, tokens)))

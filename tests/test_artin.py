@@ -24,6 +24,8 @@ from artinpres.artin import (
 from artinpres.coset import FinitePresentation
 from artinpres.twogen import build_r2
 from artinpres.words import (
+    MAX_EXPONENT,
+    MAX_LETTERS,
     ParseError,
     concat,
     conjugate,
@@ -580,6 +582,15 @@ class TestPresentationText:
     def test_exact_format(self):
         p = build_r2((1, 1, 1))
         assert format_presentation(p.n, p.relators) == "artin 2\nr1 = x1 x2\nr2 = x1 x2"
+
+    def test_relators_past_the_letter_cap_in_all_are_refused(self):
+        half = " ".join([f"x1^{MAX_EXPONENT}"] * 6)
+        with pytest.raises(ParseError, match=f"^relators of more than {MAX_LETTERS} letters in all$"):
+            parse_presentation(f"artin 1\nr1 = {half}\nr2 = {half}")
+
+    def test_relator_past_the_letter_cap_is_refused_as_a_word(self):
+        with pytest.raises(ParseError, match=f"^word of more than {MAX_LETTERS} letters$"):
+            parse_presentation("artin 1\nr1 = " + " ".join([f"x1^{MAX_EXPONENT}"] * 11))
 
     def test_relators_rereduced_on_parse(self):
         n, relators = parse_presentation("artin 1\nr1 = x1 x1^-1")

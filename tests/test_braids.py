@@ -19,6 +19,8 @@ from artinpres.braids import (
 )
 from artinpres.twogen import build_r2
 from artinpres.words import (
+    MAX_EXPONENT,
+    MAX_LETTERS,
     ParseError,
     concat,
     exponent_sum,
@@ -268,6 +270,11 @@ class TestBraidText:
     def test_framings_count_mismatch(self):
         with pytest.raises(ParseError):
             parse_braid("braid 2 : s1^2 ; framings = 1")
+
+    def test_braid_past_the_letter_cap_is_refused(self):
+        tokens = " ".join([f"s1^{MAX_EXPONENT}"] * 11)
+        with pytest.raises(ParseError, match=f"^braid of more than {MAX_LETTERS} letters$"):
+            parse_braid(f"braid 2 : {tokens} ; framings = 0,0")
 
     def test_non_pure_is_domain_error(self):
         with pytest.raises(ValueError, match="not pure"):

@@ -462,6 +462,11 @@ class TestErrorHandling:
         code, out, err = run(capsys, "tuple", "add", f"{nines},-{nines},0", f"{nines},-{nines},1")
         assert (code, out, err) == (0, f"{2 * nines},-{2 * nines},1\n", "")
 
+    def test_word_past_the_letter_cap_is_parse_error(self, capsys, write):
+        path = write("p.txt", "artin 1\nr1 = " + " ".join(["x1^1000000"] * 11) + "\n")
+        code, out, err = run(capsys, "matrix", path)
+        assert (code, out, err) == (2, "", "error: word of more than 10000000 letters\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/path.txt")
         assert code == 2

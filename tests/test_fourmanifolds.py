@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 
 from artinpres.coset import Finite, FinitePresentation, enumerate_cosets
 from artinpres.fourmanifolds import (
-    _REVERSED,
     FourManifold,
     MovePath,
     MoveStep,
     Parity,
-    _base_class,
     _invariant_class,
     classify_x4,
     classify_x4_with_path,
@@ -264,7 +262,7 @@ class TestClassify:
         assert path.orientation_reversed
 
     def test_grid_instances_classify_consistently(self):
-        # classify_x4 cross-checks moves against invariants internally
+        # classify_x4 checks the move path against the form internally
         for t in enumerate_trivial(12):
             classify_x4(t)
 
@@ -289,6 +287,23 @@ class TestClassify:
             path = reduce_to_base(t)
             assert path.start == t
 
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            # ends at a base diagram whose form has det -1, not 1
+            (MoveStep("slide1", (1, -1, 0)),),
+            # the right form, except that an odd mirror count negates it
+            (MoveStep("slide1", (1, 1, 0)), MoveStep("mirror", (1, 1, 0))),
+            # the form of (2, 1, 1) itself, but not a base diagram
+            (),
+        ],
+    )
+    def test_path_that_disagrees_with_the_form_raises(self, monkeypatch, steps):
+        fake = MovePath((2, 1, 1), steps)
+        monkeypatch.setattr("artinpres.fourmanifolds.reduce_to_base", lambda t: fake)
+        with pytest.raises(RuntimeError, match=r"^move path ends at "):
+            classify_x4_with_path((2, 1, 1))
+
 
 class TestExportKirby:
     def test_hopf_link(self):
@@ -309,6 +324,24 @@ class TestExportKirby:
 
 def reference_is_base(t):
     return t in ((1, 1, 0), (1, -1, 0)) or (t[1] == 0 and t[2] == 1)
+
+
+# The manifold of each base diagram, read off its Kirby diagram, and of its
+# mirror image; path_class uses these, not the classifier's form rule.
+def reference_base_class(t):
+    if t == (1, 1, 0):
+        return FourManifold.CP2_CP2
+    if t == (1, -1, 0):
+        return FourManifold.CP2_MCP2
+    return FourManifold.S2XS2 if t[0] % 2 == 0 else FourManifold.CP2_MCP2
+
+
+REFERENCE_REVERSED = {
+    FourManifold.CP2_CP2: FourManifold.MCP2_MCP2,
+    FourManifold.MCP2_MCP2: FourManifold.CP2_CP2,
+    FourManifold.CP2_MCP2: FourManifold.CP2_MCP2,
+    FourManifold.S2XS2: FourManifold.S2XS2,
+}
 
 
 def reference_reduce_to_base(t):
@@ -362,8 +395,9 @@ def path_class(path):
     for step in path.steps:
         current = MOVES[step.move](current)
         assert step.result == current
-    manifold = _base_class(path.final)
-    return _REVERSED[manifold] if path.orientation_reversed else manifold
+    assert reference_is_base(path.final), path
+    manifold = reference_base_class(path.final)
+    return REFERENCE_REVERSED[manifold] if path.orientation_reversed else manifold
 
 
 def normalize_or_none(normalize, t):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from itertools import chain, groupby
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from artinpres.words import (
     MAX_EXPONENT,
+    MAX_LETTERS,
     ParseError,
     _bounded,
     concat,
@@ -168,6 +170,52 @@ class TestParseFormat:
     @given(words)
     def test_round_trip(self, w):
         assert parse_word(format_word(w)) == w
+
+
+class TestLetterCap:
+    def test_cap_value(self):
+        assert MAX_LETTERS == 10**7
+
+    def test_eleven_full_tokens_are_refused(self):
+        with pytest.raises(ParseError, match=f"^word of more than {MAX_LETTERS} letters$"):
+            parse_word(" ".join([f"x1^{MAX_EXPONENT}"] * 11))
+
+    def test_distinct_tokens_are_refused_before_their_letters_are_built(self):
+        # 2 * 10^7 letters: 340 MiB at the tracemalloc peak without the cap
+        text = " ".join(f"x{i}^{MAX_EXPONENT}" for i in range(1, 21))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="^word of more than"):
+                parse_word(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "text, letters",
+        [
+            ("x1^10", 10),  # one token at the cap
+            ("x1 " * 10, 10),  # many short tokens at the cap, no total taken
+            ("x1^9 x2", 10),  # tokens times longest is past the cap, the total is not
+            ("x1^-9 x1", 10),  # the cap counts letters before reduction
+            ("x1^5 1 x2^-5", 10),
+        ],
+    )
+    def test_cap_is_inclusive(self, monkeypatch, text, letters):
+        monkeypatch.setattr("artinpres.words.MAX_LETTERS", 10)
+        assert len(parse_runs(text.split(), "x", "word", lambda k: k >= 1, "", "1")) == letters
+
+    @pytest.mark.parametrize("text", ["x1^11", "x1 " * 11, "x1^9 x2^2", "x1^-9 x1 x1", "x2 x1^10"])
+    def test_one_letter_past_the_cap_is_refused(self, monkeypatch, text):
+        monkeypatch.setattr("artinpres.words.MAX_LETTERS", 10)
+        with pytest.raises(ParseError, match="^word of more than 10 letters$"):
+            parse_word(text)
+
+    def test_bad_token_past_the_bound_is_named_first(self, monkeypatch):
+        monkeypatch.setattr("artinpres.words.MAX_LETTERS", 10)
+        with pytest.raises(ParseError, match="^bad word token 'y' at position 3$"):
+            parse_word("x1^9 x2^9 y")
 
 
 class TestHelpers:
