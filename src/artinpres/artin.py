@@ -16,9 +16,9 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import compress, count, islice
 from math import gcd
-from operator import sub
+from operator import ne, neg, sub
 from typing import Sequence
 
 from .words import (
@@ -90,11 +90,27 @@ def _checked(n: int, relators: Sequence[Word]) -> tuple[Word, ...]:
 
 
 def _defect(n: int, relators: tuple[Word, ...]) -> Word:
-    """The defect of reduced relators in x_1 .. x_n; every factor of the
-    identity's product is reduced, so they are joined without another check."""
-    factors = chain.from_iterable(
-        (invert(relator), (i,), relator) for i, relator in enumerate(relators, start=1)
-    )
+    """The defect of reduced relators in x_1 .. x_n.  The identity's product
+    is r_1^-1 x_1 (r_1 r_2^-1) x_2 ... (r_(n-1) r_n^-1) x_n r_n, and each
+    r_i r_(i+1)^-1 is the two relators with their common suffix cut off,
+    the second inverted: the cut letters are neither inverted nor copied.
+    Every factor is a reduced word, so they are joined without another
+    check."""
+    if not n:
+        return ()
+    factors = [invert(relators[0]), (1,)]
+    for i in range(1, n):
+        left, right = relators[i - 1], relators[i]
+        common = next(
+            compress(count(), map(ne, reversed(left), reversed(right))),
+            min(len(left), len(right)),
+        )
+        factors += (
+            left[: len(left) - common],
+            tuple(map(neg, islice(reversed(right), common, None))),
+            (i + 1,),
+        )
+    factors.append(relators[-1])
     return _join((invert(_join(factors)), tuple(range(1, n + 1))))
 
 

@@ -81,8 +81,9 @@ class FormInvariants:
     parity: Parity
 
 
-def form_invariants(t: Tuple3) -> FormInvariants:
-    """Exact invariants of the intersection form.
+def _form(t: Tuple3) -> tuple[int, int, Parity]:
+    """(det, signature, parity) of the form [[a, c], [c, b]], the fields of
+    FormInvariants as a plain tuple.
 
     The signature is computed from integer sign analysis alone: a negative
     determinant forces one eigenvalue of each sign; a positive determinant
@@ -99,8 +100,12 @@ def form_invariants(t: Tuple3) -> FormInvariants:
     else:
         trace = a + b
         signature = 0 if trace == 0 else (1 if trace > 0 else -1)
-    parity = Parity.EVEN if a % 2 == 0 and b % 2 == 0 else Parity.ODD
-    return FormInvariants(det, signature, parity)
+    return det, signature, Parity.EVEN if a % 2 == 0 and b % 2 == 0 else Parity.ODD
+
+
+def form_invariants(t: Tuple3) -> FormInvariants:
+    """Exact invariants of the intersection form (see _form)."""
+    return FormInvariants(*_form(t))
 
 
 @dataclass(frozen=True)
@@ -167,14 +172,16 @@ def reduce_to_base(t: Tuple3) -> MovePath:
     return MovePath(t, tuple(steps))
 
 
-def _invariant_class(inv: FormInvariants) -> FourManifold:
-    if inv.signature == 2:
+def _invariant_class(form: tuple[int, int, Parity]) -> FourManifold:
+    """The manifold that the (det, signature, parity) of _form names."""
+    det, signature, parity = form
+    if signature == 2:
         return FourManifold.CP2_CP2
-    if inv.signature == -2:
+    if signature == -2:
         return FourManifold.MCP2_MCP2
-    if inv.signature == 0 and inv.det in (1, -1):
-        return FourManifold.CP2_MCP2 if inv.parity is Parity.ODD else FourManifold.S2XS2
-    raise ValueError(f"invariants {inv} do not match a rank-2 unimodular form")
+    if signature == 0 and det in (1, -1):
+        return FourManifold.CP2_MCP2 if parity is Parity.ODD else FourManifold.S2XS2
+    raise ValueError(f"invariants {FormInvariants(*form)} do not match a rank-2 unimodular form")
 
 
 def classify_x4_with_path(t: Tuple3) -> tuple[FourManifold, MovePath]:
@@ -191,12 +198,15 @@ def classify_x4_with_path(t: Tuple3) -> tuple[FourManifold, MovePath]:
         raise ValueError(f"{format_tuple3(t)} is outside the trivial-group families")
     path = reduce_to_base(t)
     final = path.final
-    inv = form_invariants(t)
+    form = _form(t)
     # mirroring keeps det and parity and negates the signature
-    end = form_invariants(mirror(final) if path.orientation_reversed else final)
-    if not _is_base(final) or end != inv:
-        raise RuntimeError(f"move path ends at {final} with {end}, but {t} has {inv}")
-    return _invariant_class(inv), path
+    end = _form(mirror(final) if path.orientation_reversed else final)
+    if not _is_base(final) or end != form:
+        raise RuntimeError(
+            f"move path ends at {final} with {FormInvariants(*end)}, "
+            f"but {t} has {FormInvariants(*form)}"
+        )
+    return _invariant_class(form), path
 
 
 def classify_x4(t: Tuple3) -> FourManifold:

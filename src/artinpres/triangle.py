@@ -294,7 +294,11 @@ def _syllable_power(word: _Syllables, n: int) -> _Syllables:
     power is the product of |n| copies of word or its inverse, whose
     junction merge cancels each U^-1 U and joins V's ends on one generator.
     Only that case grows with n: it raises ValueError before making the
-    copies when len(word) |n| passes _MAX_SYLLABLES."""
+    copies when len(word) |n| passes _MAX_SYLLABLES.  A word of one
+    syllable (g, e) is its own core, so its power (g, e n) comes first."""
+    if len(word) == 1:
+        ((g, e),) = word
+        return ((g, e * n),) if n else ()
     if n < 0:
         word, n = _syllable_inverse(word), -n
     if n == 1:
@@ -358,9 +362,15 @@ def check_certificate(t: Tuple3, certificate: TrivialityCertificate) -> bool:
         for (r1, r2), outputs in ((relators, (x1, x2)), (((), ()), ((), ()))):
             values = {"x1": x1, "x2": x2, "r1": r1, "r2": r2}
             for name, factors in certificate:
-                value = values[name] = _syllable_product(
-                    _syllable_power(values[symbol], e) for symbol, e in factors
-                )
+                if len(factors) == 1:
+                    # a power is reduced and within _MAX_SYLLABLES already
+                    ((symbol, e),) = factors
+                    value = _syllable_power(values[symbol], e)
+                else:
+                    value = _syllable_product(
+                        [_syllable_power(values[symbol], e) for symbol, e in factors]
+                    )
+                values[name] = value
                 for _, e in value:
                     if e.bit_length() > _MAX_EXTRA_BITS:
                         bits = bits or max(map(abs, exponents)).bit_length() + _MAX_EXTRA_BITS
@@ -393,6 +403,11 @@ class TrivialityResult:
     certificate: TrivialityCertificate | None = field(compare=False, default=None)
 
 
+# The two NONTRIVIAL verdicts, shared: a TrivialityResult is frozen.
+_ABELIANIZATION = TrivialityResult(Triviality.NONTRIVIAL, "abelianization")
+_TRIANGLE_QUOTIENT = TrivialityResult(Triviality.NONTRIVIAL, "triangle-quotient")
+
+
 def triviality_status(t: Tuple3) -> TrivialityResult:
     """Whether r(a, b, c) presents the trivial group, decided from the triple.
 
@@ -406,8 +421,7 @@ def triviality_status(t: Tuple3) -> TrivialityResult:
     """
     if not _is_trivial(t):
         a, b, c = t
-        reason = "abelianization" if abs(a * b - c * c) != 1 else "triangle-quotient"
-        return TrivialityResult(Triviality.NONTRIVIAL, reason)
+        return _ABELIANIZATION if abs(a * b - c * c) != 1 else _TRIANGLE_QUOTIENT
     certificate = triviality_certificate(t)
     if certificate is None or not check_certificate(t, certificate):
         raise RuntimeError(f"the triviality certificate of r{t} failed its check")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from artinpres.artin import (
     ArtinPresentation,
     ExponentMatrix,
+    _defect,
     _from_reduced,
     _smith_diagonal,
     abelianization_invariants,
@@ -27,9 +28,11 @@ from artinpres.words import (
     MAX_EXPONENT,
     MAX_LETTERS,
     ParseError,
+    _join,
     concat,
     conjugate,
     exponent_sum,
+    format_word,
     free_reduce,
     invert,
     max_generator,
@@ -186,6 +189,84 @@ class TestAgainstConcatReference:
         for u, r in ((p, q), (q, p)):
             assert compose(u, r) == identity_presentation(n)
             assert concat_compose(u, r) == ((),) * n
+
+
+# Reference: the defect as one join of r_i^-1, x_i and r_i for every i,
+# inverted and joined with x_1 ... x_n, before the common suffix of
+# neighbouring relators was cut off.
+
+
+def join_defect(n, relators):
+    factors = chain.from_iterable(
+        (invert(relator), (i,), relator) for i, relator in enumerate(relators, start=1)
+    )
+    return _join((invert(_join(factors)), tuple(range(1, n + 1))))
+
+
+def suffix_sharing_relators(rng, n):
+    """n reduced relators in x_1 .. x_n, often empty, equal to their left
+    neighbour, or ending in a tail shared with it."""
+    letters = [k for i in range(1, n + 1) for k in (i, -i)]
+    relators = []
+    for i in range(n):
+        relator = free_reduce(rng.choices(letters, k=rng.randrange(9)))
+        kind = rng.randrange(4)
+        if i and kind == 0:
+            relator = relators[-1]
+        elif i and kind == 1:
+            tail = relators[-1][rng.randrange(len(relators[-1]) + 1) :]
+            relator = free_reduce(relator + tail)
+        relators.append(relator)
+    return tuple(relators)
+
+
+class TestDefectAgainstJoinReference:
+    def test_seeded_relator_lists(self):
+        rng = random.Random(3301)
+        for _ in range(400):
+            n = rng.randrange(5)
+            relators = suffix_sharing_relators(rng, n)
+            assert _defect(n, relators) == join_defect(n, relators), (n, relators)
+
+    def test_artin_relator_lists(self):
+        from artinpres.braids import braid_to_artin
+
+        rng = random.Random(3302)
+        cases = [(0, ()), (1, ((),)), (1, ((1,) * 5,)), (1, ((-1,) * 3,))]
+        cases += [(n, identity_presentation(n).relators) for n in range(5)]
+        for _ in range(100):
+            n = rng.randrange(2, 5)
+            p = braid_to_artin(random_framed_pure_braid(rng, n))
+            cases.append((n, p.relators))
+        for n, relators in cases:
+            assert _defect(n, relators) == join_defect(n, relators) == (), (n, relators)
+
+    def test_every_composition_of_a_braid_set(self):
+        from artinpres.braids import braid_to_artin
+
+        rng = random.Random(3303)
+        for n in (2, 3, 4):
+            braids = [braid_to_artin(random_framed_pure_braid(rng, n)) for _ in range(6)]
+            for u, r in ((u, r) for u in braids for r in braids):
+                relators = compose(u, r).relators
+                assert _defect(n, relators) == join_defect(n, relators) == ()
+                mixed = r.relators[:1] + u.relators[1:]
+                assert _defect(n, mixed) == join_defect(n, mixed)
+
+    @pytest.mark.parametrize(
+        "n, relators, defect",
+        [
+            (2, ((1,), (1,)), "x1^-1 x2^-1 x1 x2"),
+            (3, ((1, 2), (2, 3, -1), (3,)), "x3^-1 x1 x3^-1 x2^-1 x3 x1^-1 x2^-1 x1^-1 x2 x1 x2 x3"),
+            # the two relators end in x1, which the product cancels
+            (2, ((1, 2, 1), (2, 2, 1)), "x1^-1 x2^-2 x1^-1 x2 x1^2 x2"),
+        ],
+    )
+    def test_error_text_is_unchanged(self, n, relators, defect):
+        assert format_word(join_defect(n, relators)) == defect
+        with pytest.raises(ValueError) as error:
+            ArtinPresentation(n, relators)
+        assert str(error.value) == f"relators do not satisfy the Artin identity (defect {defect})"
 
 
 @st.composite

@@ -10,6 +10,7 @@ from artinpres.fourmanifolds import (
     MovePath,
     MoveStep,
     Parity,
+    _form,
     _invariant_class,
     classify_x4,
     classify_x4_with_path,
@@ -25,6 +26,7 @@ from artinpres.fourmanifolds import (
 from artinpres.triangle import (
     Family,
     Triviality,
+    TrivialityResult,
     enumerate_trivial,
     trivial_family,
     triviality_status,
@@ -288,21 +290,44 @@ class TestClassify:
             assert path.start == t
 
     @pytest.mark.parametrize(
-        "steps",
+        "steps, final, end",
         [
             # ends at a base diagram whose form has det -1, not 1
-            (MoveStep("slide1", (1, -1, 0)),),
+            ((MoveStep("slide1", (1, -1, 0)),), (1, -1, 0), "det=-1, signature=0"),
             # the right form, except that an odd mirror count negates it
-            (MoveStep("slide1", (1, 1, 0)), MoveStep("mirror", (1, 1, 0))),
+            (
+                (MoveStep("slide1", (1, 1, 0)), MoveStep("mirror", (1, 1, 0))),
+                (1, 1, 0),
+                "det=1, signature=-2",
+            ),
             # the form of (2, 1, 1) itself, but not a base diagram
-            (),
+            ((), (2, 1, 1), "det=1, signature=2"),
         ],
     )
-    def test_path_that_disagrees_with_the_form_raises(self, monkeypatch, steps):
+    def test_path_that_disagrees_with_the_form_raises(self, monkeypatch, steps, final, end):
         fake = MovePath((2, 1, 1), steps)
         monkeypatch.setattr("artinpres.fourmanifolds.reduce_to_base", lambda t: fake)
-        with pytest.raises(RuntimeError, match=r"^move path ends at "):
+        with pytest.raises(RuntimeError) as error:
             classify_x4_with_path((2, 1, 1))
+        odd = "parity=<Parity.ODD: 'odd'>"
+        assert str(error.value) == (
+            f"move path ends at {final} with FormInvariants({end}, {odd}), "
+            f"but (2, 1, 1) has FormInvariants(det=1, signature=2, {odd})"
+        )
+
+    @pytest.mark.parametrize(
+        "t, reason",
+        [
+            ((2, 3, 5), "abelianization"),
+            ((0, 0, 0), "abelianization"),
+            ((-1, -3, 2), "triangle-quotient"),
+            ((1, 3, -2), "triangle-quotient"),
+        ],
+    )
+    def test_nontrivial_status_equals_a_fresh_result(self, t, reason):
+        status = triviality_status(t)
+        assert status == TrivialityResult(Triviality.NONTRIVIAL, reason)
+        assert status.certificate is None
 
 
 class TestExportKirby:
@@ -423,7 +448,7 @@ class TestAgainstGreedyReference:
     def test_large_members_reach_a_base_in_five_moves(self, t):
         manifold, path = classify_x4_with_path(t)
         assert len(path.steps) <= 5
-        assert path_class(path) is manifold is _invariant_class(form_invariants(t))
+        assert path_class(path) is manifold is _invariant_class(_form(t))
 
     @given(st.tuples(*[st.integers(-(10**12), 10**12)] * 3))
     def test_slides_trade_places_under_swap(self, t):

@@ -386,6 +386,24 @@ class TestTrivialityCertificate:
         digest = sha256(repr(rows).encode()).hexdigest()
         assert digest == "d28fc91f6d593ff39eb1bfaeb494d9d02361abf4ff977d9e62f573cf44982fe0"
 
+    # Digests of triviality_status: the verdicts and checked certificates of
+    # the members up to 60, and the verdicts and reasons on the cube.
+    def test_member_statuses_pinned(self):
+        rows = []
+        for t in enumerate_trivial(60):
+            status = triviality_status(t)
+            rows.append((t, status.status.value, status.reason, status.certificate))
+        assert len(rows) == 734
+        digest = sha256(repr(rows).encode()).hexdigest()
+        assert digest == "d80891b452cee3f2807d66608d18150c028a62dc77d4a333d662afb3f95629cf"
+
+    def test_cube_statuses_pinned(self):
+        span = range(-12, 13)
+        statuses = ((t, triviality_status(t)) for t in product(span, span, span))
+        rows = [(t, status.status.value, status.reason) for t, status in statuses]
+        digest = sha256(repr(rows).encode()).hexdigest()
+        assert digest == "8a17979ce022cd740bd5d8ceafbbc002a56da296d912979a7d171a297b926d69"
+
     def test_each_run_is_needed(self):
         # right images but not in the normal closure, and the reverse
         generators = (("X1", (("x1", 1),)), ("X2", (("x2", 1),)))
@@ -416,6 +434,18 @@ class TestTrivialityCertificate:
         word = syllables_of(concat(u, expanded(core), invert(u)))
         power = triangle._syllable_power(word, exponent)
         assert expanded(power) == words._power(expanded(word), exponent)
+
+    @pytest.mark.parametrize("e", [1, -1, 3, -7, 10**4000], ids=["1", "-1", "3", "-7", "10^4000"])
+    def test_one_syllable_power_matches_the_peeling_path(self, e):
+        # (a, e) alone is raised at once; inside b ... b^-1 it is the core
+        # that the peel finds, which is the path every longer word takes
+        for n in (*range(-50, 51), 10**4000, -(10**4000)):
+            alone = triangle._syllable_power((("a", e),), n)
+            wrapped = triangle._syllable_power((("b", 1), ("a", e), ("b", -1)), n)
+            assert wrapped == ((("b", 1), *alone, ("b", -1)) if n else ())
+            assert alone == ((("a", e * n),) if n else ())
+            if abs(e) < 10 and abs(n) <= 50:
+                assert expanded(alone) == words._power(expanded((("a", e),)), n)
 
     def test_agrees_with_reference_on_single_mutations(self):
         for t in unimodular(50):
