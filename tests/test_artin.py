@@ -262,7 +262,7 @@ class TestDefectAgainstJoinReference:
             (2, ((1, 2, 1), (2, 2, 1)), "x1^-1 x2^-2 x1^-1 x2 x1^2 x2"),
         ],
     )
-    def test_error_text_is_unchanged(self, n, relators, defect):
+    def test_error_text_names_the_defect(self, n, relators, defect):
         assert format_word(join_defect(n, relators)) == defect
         with pytest.raises(ValueError) as error:
             ArtinPresentation(n, relators)

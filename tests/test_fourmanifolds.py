@@ -290,21 +290,35 @@ class TestClassify:
             assert path.start == t
 
     @pytest.mark.parametrize(
-        "steps, final, end",
+        "steps",
         [
             # ends at a base diagram whose form has det -1, not 1
-            ((MoveStep("slide1", (1, -1, 0)),), (1, -1, 0), "det=-1, signature=0"),
+            (MoveStep("slide1", (1, -1, 0)),),
             # the right form, except that an odd mirror count negates it
+            (MoveStep("slide1", (1, 1, 0)), MoveStep("mirror", (1, 1, 0))),
+            # the form of (2, 1, 1) itself, but not a base diagram
+            (),
+        ],
+    )
+    def test_path_that_disagrees_with_the_form_raises(self, monkeypatch, steps):
+        fake = MovePath((2, 1, 1), steps)
+        monkeypatch.setattr("artinpres.fourmanifolds.reduce_to_base", lambda t: fake)
+        with pytest.raises(RuntimeError, match=r"^move path ends at "):
+            classify_x4_with_path((2, 1, 1))
+
+    @pytest.mark.parametrize(
+        "steps, final, end",
+        [
+            ((MoveStep("slide1", (1, -1, 0)),), (1, -1, 0), "det=-1, signature=0"),
             (
                 (MoveStep("slide1", (1, 1, 0)), MoveStep("mirror", (1, 1, 0))),
                 (1, 1, 0),
                 "det=1, signature=-2",
             ),
-            # the form of (2, 1, 1) itself, but not a base diagram
             ((), (2, 1, 1), "det=1, signature=2"),
         ],
     )
-    def test_path_that_disagrees_with_the_form_raises(self, monkeypatch, steps, final, end):
+    def test_disagreement_names_both_forms(self, monkeypatch, steps, final, end):
         fake = MovePath((2, 1, 1), steps)
         monkeypatch.setattr("artinpres.fourmanifolds.reduce_to_base", lambda t: fake)
         with pytest.raises(RuntimeError) as error:
